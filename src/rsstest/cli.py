@@ -15,7 +15,8 @@ that had to be generated, so results can be reproduced bit-exactly.
 Seeds are never read from the environment; they are either given
 explicitly or generated and printed.  A `--config FILE` of key=value
 lines (keys matching the long option names) supplies defaults that the
-command line overrides.
+command line overrides; config values pass the same types and choices as
+the flags.
 """
 
 from __future__ import annotations
@@ -25,17 +26,11 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import DataValidationError, ExactEngineCapError, RssError
-from .mc import mc_null_distribution
+from .errors import DataValidationError, RssError
+from .exact import DEFAULT_EXACT_CELL_CAP
+from .mc import exact_route, null_distributions_for
 from .models import ImperfectModel
-from .nulldist import (
-    NullDistribution,
-    as_exact_probability,
-    critical_value,
-    exact_null_distribution,
-    format_probability,
-    run_test,
-)
+from .nulldist import as_exact_probability, critical_value, format_probability, run_test
 from .power import NullSource, PowerStudy, compare_tests, estimate_power
 from .sample import parse_csv
 from .statistics import StatisticKind
@@ -48,6 +43,8 @@ EXIT_DATA = 2
 EXIT_REJECT = 3
 
 STAT_TAGS = [kind.value for kind in StatisticKind]
+# --null values and the null method each one selects
+NULL_FLAGS = {"auto": "auto", "exact": "exact", "mc": "monte-carlo"}
 
 
 class UsageError(Exception):
@@ -60,7 +57,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _int_list(text: str) -> list[int]:
-    """Parse '2,3,5' or '2..5' (or a mix) into a list of ints."""
+    """Parse '2,3,5' or '2..5' (or a mix) into a list of positive ints."""
     out: list[int] = []
     for part in text.split(","):
         part = part.strip()
@@ -69,8 +66,8 @@ def _int_list(text: str) -> list[int]:
             out.extend(range(int(lo), int(hi) + 1))
         elif part:
             out.append(int(part))
-    if not out:
-        raise ValueError("empty list")
+    if not out or min(out) < 1:
+        raise argparse.ArgumentTypeError(f"expected positive integers, got {text!r}")
     return out
 
 
@@ -92,9 +89,31 @@ def _stat_list(text: str) -> list[StatisticKind]:
     return [StatisticKind.from_tag(t) for t in _str_list(text)]
 
 
+def _alpha(text: str) -> str:
+    """A significance level in (0, 1], kept as typed: outputs echo the text."""
+    try:
+        if as_exact_probability(text) > 0:
+            return text
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise argparse.ArgumentTypeError(f"alpha must be a number in (0, 1], got {text!r}")
+
+
+def _alpha_list(text: str) -> list[str]:
+    return [_alpha(t) for t in _str_list(text)]
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+    return value
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="rsstest", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # subcommand name -> its parser
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", type=Path, default=None, help="key=value defaults file")
@@ -104,26 +123,26 @@ def build_parser() -> _Parser:
     p_test = sub.add_parser("test", parents=[common], help="test perfect ranking on a CSV sample")
     p_test.add_argument("data", type=Path, help="CSV file of measurements")
     p_test.add_argument("--stat", choices=STAT_TAGS, default=None, help="statistic tag")
-    p_test.add_argument("--alpha", default=None, help="significance level (default 0.05)")
+    p_test.add_argument("--alpha", type=_alpha, default=None, help="significance level (default 0.05)")
     p_test.add_argument(
         "--layout", choices=["cycles-as-rows", "cycles-as-columns"], default=None,
         help="CSV orientation (required)",
     )
     p_test.add_argument("--randomized", action="store_true", help="randomize the boundary atom")
     p_test.add_argument("--seed", type=int, default=None, help="master seed (generated and printed if absent)")
-    p_test.add_argument("--null", choices=["auto", "exact", "mc"], default=None, help="null distribution source")
-    p_test.add_argument("--null-reps", type=int, default=None, help="Monte Carlo nulls: replications (default 100000)")
+    p_test.add_argument("--null", choices=NULL_FLAGS, default=None, help="null distribution source")
+    p_test.add_argument("--null-reps", type=_positive_int, default=None, help="Monte Carlo nulls: replications (default 100000)")
     p_test.add_argument("--null-seed", type=int, default=None, help="Monte Carlo nulls: seed (default: master seed)")
-    p_test.add_argument("--exact-cap", type=int, default=None, help="max kn for the exact engine (default 8)")
+    p_test.add_argument("--exact-cap", type=int, default=None, help=f"max kn for the exact engine (default {DEFAULT_EXACT_CELL_CAP})")
     p_test.add_argument("--format", choices=["text", "json"], default=None)
 
     p_table = sub.add_parser("null-table", parents=[common], help="critical-value table over a grid")
     p_table.add_argument("--stat", choices=STAT_TAGS, default=None, help="statistic tag (default PA)")
     p_table.add_argument("--k", dest="k_grid", type=_int_list, default=None, help="set sizes, e.g. 2..5 or 2,3")
     p_table.add_argument("--n", dest="n_grid", type=_int_list, default=None, help="cycle counts, e.g. 2..5")
-    p_table.add_argument("--alphas", type=_str_list, default=None, help="levels, e.g. 0.05,0.10")
-    p_table.add_argument("--exact-cap", type=int, default=None, help="max kn for the exact engine (default 8)")
-    p_table.add_argument("--reps", type=int, default=None, help="Monte Carlo replications above the cap (default 100000)")
+    p_table.add_argument("--alphas", type=_alpha_list, default=None, help="levels, e.g. 0.05,0.10")
+    p_table.add_argument("--exact-cap", type=int, default=None, help=f"max kn for the exact engine (default {DEFAULT_EXACT_CELL_CAP})")
+    p_table.add_argument("--reps", type=_positive_int, default=None, help="Monte Carlo replications above the cap (default 100000)")
     p_table.add_argument("--seed", type=int, default=None, help="Monte Carlo seed (generated and printed if needed)")
     p_table.add_argument("--format", choices=["text", "csv", "json"], default=None)
 
@@ -133,14 +152,14 @@ def build_parser() -> _Parser:
     p_power.add_argument("--model", default=None, help="perfect | concomitant:L | random:L | inverse:L | neighbor:L")
     p_power.add_argument("--lambdas", type=_float_list, default=None, help="parameter grid, e.g. 0,0.5,1")
     p_power.add_argument("--stats", type=_stat_list, default=None, help="statistic tags (default PA)")
-    p_power.add_argument("--alpha", default=None, help="significance level (default 0.05)")
-    p_power.add_argument("--reps", type=int, default=None, help="replications per grid point (default 20000)")
+    p_power.add_argument("--alpha", type=_alpha, default=None, help="significance level (default 0.05)")
+    p_power.add_argument("--reps", type=_positive_int, default=None, help="replications per grid point (default 20000)")
     p_power.add_argument("--seed", type=int, default=None, help="master seed (generated and printed if absent)")
     p_power.add_argument("--population", choices=["uniform", "normal"], default=None)
-    p_power.add_argument("--null", choices=["auto", "exact", "mc"], default=None, help="null source (default auto)")
-    p_power.add_argument("--null-reps", type=int, default=None, help="Monte Carlo nulls: replications (default 1000000)")
+    p_power.add_argument("--null", choices=NULL_FLAGS, default=None, help="null source (default auto)")
+    p_power.add_argument("--null-reps", type=_positive_int, default=None, help="Monte Carlo nulls: replications (default 1000000)")
     p_power.add_argument("--null-seed", type=int, default=None, help="Monte Carlo nulls: seed (default: master seed)")
-    p_power.add_argument("--exact-cap", type=int, default=None, help="max kn for exact nulls under auto (default 8)")
+    p_power.add_argument("--exact-cap", type=int, default=None, help=f"max kn for exact nulls under auto (default {DEFAULT_EXACT_CELL_CAP})")
     p_power.add_argument("--format", choices=["text", "csv", "json"], default=None)
 
     p_verify = sub.add_parser("verify", parents=[common], help="run the identity self-checks")
@@ -166,35 +185,25 @@ def _load_config(path: Path) -> dict[str, str]:
     return out
 
 
-_CONFIG_PARSERS = {
-    "k_grid": _int_list,
-    "n_grid": _int_list,
-    "alphas": _str_list,
-    "lambdas": _float_list,
-    "stats": _stat_list,
-    "k": int,
-    "n": int,
-    "seed": int,
-    "null_seed": int,
-    "null_reps": int,
-    "reps": int,
-    "exact_cap": int,
-    "threads": int,
-    "instances": int,
-    "randomized": lambda v: v.lower() in ("1", "true", "yes"),
-    "output": Path,
-}
+def _with_config(parser: _Parser, args: argparse.Namespace, argv: list[str]) -> list[str]:
+    """`argv` with the config file's settings as flags ahead of the user's own.
 
-
-def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
-    if getattr(args, "config", None) is None:
-        return args
+    Each key=value becomes the option it names, so config values meet the
+    same types and choices as flags, and the user's flags, parsed later, win.
+    """
+    options = {a.dest: a for a in parser.commands[args.command]._actions if a.option_strings}
+    flags = []
     for key, raw in _load_config(args.config).items():
-        if not hasattr(args, key):
+        action = options.get(key)
+        if action is None:
             raise UsageError(f"config key {key!r} does not match any option")
-        if getattr(args, key) in (None, False):
-            setattr(args, key, _CONFIG_PARSERS.get(key, str)(raw))
-    return args
+        flag = action.option_strings[-1]
+        if action.nargs != 0:
+            flags.append(f"{flag}={raw}")
+        elif raw.lower() in ("1", "true", "yes"):
+            flags.append(flag)
+    command, *rest = argv
+    return [command, *flags, *rest]
 
 
 def _default(args: argparse.Namespace, key: str, value):
@@ -222,31 +231,28 @@ def _cmd_test(args: argparse.Namespace) -> int:
     _default(args, "alpha", "0.05")
     _default(args, "null", "auto")
     _default(args, "null_reps", 100_000)
-    _default(args, "exact_cap", 8)
+    _default(args, "exact_cap", DEFAULT_EXACT_CELL_CAP)
     _default(args, "format", "text")
     if args.layout is None:
         raise UsageError("--layout is required (cycles-as-rows or cycles-as-columns)")
 
-    sample = parse_csv(args.data.read_text(), args.layout)
+    try:
+        text = args.data.read_text()
+    except OSError as exc:
+        raise DataValidationError(f"cannot read {args.data}: {exc.strerror}") from None
+    sample = parse_csv(text, args.layout)
     kind = StatisticKind.from_tag(args.stat)
     alpha = as_exact_probability(args.alpha)
 
-    kn = sample.k * sample.n
-    if args.null == "exact" and kn > args.exact_cap:
-        raise ExactEngineCapError(
-            f"exact null for a {sample.k}x{sample.n} grid needs kn={kn} <= {args.exact_cap}; "
-            "raise --exact-cap (up to 10) or use --null mc"
-        )
-    use_exact = args.null == "exact" or (args.null == "auto" and kn <= args.exact_cap)
+    method = NULL_FLAGS[args.null]
+    use_exact = exact_route(method, sample.k, sample.n, args.exact_cap)
     needs_seed = args.randomized or (not use_exact and args.null_seed is None)
     seed, seed_generated = _resolve_seed(args.seed) if needs_seed else (args.seed, False)
-    if use_exact:
-        dist = exact_null_distribution(kind, sample.k, sample.n, max_cells=args.exact_cap)
-    else:
-        null_seed = args.null_seed if args.null_seed is not None else seed
-        dist = mc_null_distribution(
-            kind, sample.k, sample.n, args.null_reps, null_seed, threads=args.threads
-        )
+    dist = null_distributions_for(
+        [kind], sample.k, sample.n, exact_cap=args.exact_cap, mc_reps=args.null_reps,
+        mc_seed=seed if args.null_seed is None else args.null_seed,
+        threads=args.threads, method=method,
+    )[kind]
 
     rng = substream(seed, TEST_STREAM_BASE) if args.randomized else None
     result = run_test(sample, kind, dist, alpha, randomized=args.randomized, rng=rng)
@@ -297,7 +303,7 @@ def _cmd_null_table(args: argparse.Namespace) -> int:
     _default(args, "threads", 1)
     _default(args, "stat", "PA")
     _default(args, "alphas", ["0.05", "0.10"])
-    _default(args, "exact_cap", 8)
+    _default(args, "exact_cap", DEFAULT_EXACT_CELL_CAP)
     _default(args, "reps", 100_000)
     _default(args, "format", "text")
     if args.k_grid is None or args.n_grid is None:
@@ -305,7 +311,9 @@ def _cmd_null_table(args: argparse.Namespace) -> int:
 
     kind = StatisticKind.from_tag(args.stat)
     alphas = [(text, as_exact_probability(text)) for text in args.alphas]
-    seed_needed = any(k * n > args.exact_cap for k in args.k_grid for n in args.n_grid)
+    seed_needed = any(
+        not exact_route("auto", k, n, args.exact_cap) for k in args.k_grid for n in args.n_grid
+    )
     seed, seed_generated = (
         _resolve_seed(args.seed) if seed_needed else (args.seed, False)
     )
@@ -313,15 +321,16 @@ def _cmd_null_table(args: argparse.Namespace) -> int:
     rows = []
     for k in args.k_grid:
         for n in args.n_grid:
-            if k * n <= args.exact_cap:
-                dist = exact_null_distribution(kind, k, n, max_cells=args.exact_cap)
-            else:
+            if not exact_route("auto", k, n, args.exact_cap):
                 print(
                     f"note: {k}x{n} exceeds the exact cap of {args.exact_cap} cells; "
                     f"using Monte Carlo with reps={args.reps}",
                     file=sys.stderr,
                 )
-                dist = mc_null_distribution(kind, k, n, args.reps, seed, threads=args.threads)
+            dist = null_distributions_for(
+                [kind], k, n, exact_cap=args.exact_cap, mc_reps=args.reps, mc_seed=seed,
+                threads=args.threads,
+            )[kind]
             for alpha_text, alpha in alphas:
                 crit = critical_value(dist, alpha)
                 rows.append(
@@ -379,7 +388,7 @@ def _cmd_power(args: argparse.Namespace) -> int:
     _default(args, "reps", 20_000)
     _default(args, "null", "auto")
     _default(args, "null_reps", 1_000_000)
-    _default(args, "exact_cap", 8)
+    _default(args, "exact_cap", DEFAULT_EXACT_CELL_CAP)
     _default(args, "format", "text")
     if args.k is None or args.n is None:
         raise UsageError("--k and --n are required")
@@ -413,7 +422,7 @@ def _cmd_power(args: argparse.Namespace) -> int:
         seed=seed,
         population=args.population,
         null=NullSource(
-            method={"mc": "monte-carlo"}.get(args.null, args.null),
+            method=NULL_FLAGS[args.null],
             reps=args.null_reps,
             seed=args.null_seed,
             exact_cells_cap=args.exact_cap,
@@ -453,9 +462,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
-        args = _apply_config(args)
+        if getattr(args, "config", None) is not None:
+            args = parser.parse_args(_with_config(parser, args, argv))
         handler = {
             "test": _cmd_test,
             "null-table": _cmd_null_table,

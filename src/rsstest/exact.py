@@ -23,8 +23,8 @@ a lookup table from which every cycle-labelled statistic (the sums and
 maxima) is accumulated over the (n!)^(k-1) distinct cycle assignments.
 
 Cost grows factorially; the engine refuses grids above `max_cells`
-(kn <= 8 by default, kn <= 10 as an explicit opt-in) and points callers
-at the Monte Carlo engine instead.
+(kn <= 8 by default, kn <= 10 as an explicit opt-in, never more) and
+points callers at the Monte Carlo engine instead.
 """
 
 from __future__ import annotations
@@ -49,11 +49,12 @@ def exact_distributions(
     """Exact pmf of every statistic on a k x n grid, as rationals."""
     if k < 1 or n < 1:
         raise ValueError("k and n must be positive")
-    if k * n > max_cells:
+    cap = min(max_cells, OPT_IN_EXACT_CELL_CAP)
+    if k * n > cap:
         raise ExactEngineCapError(
             f"exact enumeration of a {k}x{n} grid needs kn={k * n} cells, above the "
-            f"cap of {max_cells} (raise max_cells up to {OPT_IN_EXACT_CELL_CAP} to "
-            "opt in, or use mc_null_distribution)"
+            f"cap of {cap} (max_cells opts in up to {OPT_IN_EXACT_CELL_CAP}; beyond "
+            "that use mc_null_distribution)"
         )
     hists = _exact_histograms(k, n)
     denom = math.factorial(k * k * n)

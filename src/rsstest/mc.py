@@ -6,24 +6,31 @@ reps) is bit-identical however the chunks are spread across workers.
 Evaluating several statistics in one run shares the simulated samples,
 which is both cheaper and harmless: each statistic's marginal null
 distribution is what the tables need.
+
+`exact_route` and `null_distributions_for` hold the package's one
+null-source policy, exact engine or Monte Carlo; the CLI and power studies
+resolve every null through them.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .batch import evaluate_batch
+from .errors import ExactEngineCapError
+from .exact import DEFAULT_EXACT_CELL_CAP, OPT_IN_EXACT_CELL_CAP
 from .models import ImperfectModel, draw_cells
-from .nulldist import NullDistribution, Provenance
+from .nulldist import NullDistribution, Provenance, exact_null_distribution
 from .sample import RssSample
 from .statistics import StatisticKind
 from .streams import NULL_STREAM_BASE, substream
 
 CHUNK_SIZE = 8192
+NULL_METHODS = ("auto", "exact", "monte-carlo")
 
 _PERFECT = ImperfectModel("perfect")
 
@@ -103,27 +110,39 @@ def mc_null_distribution(
     return mc_null_distributions([kind], k, n, reps, seed, threads=threads)[kind]
 
 
+def exact_route(
+    method: str, k: int, n: int, exact_cap: int = DEFAULT_EXACT_CELL_CAP
+) -> bool:
+    """Whether `method` resolves a k x n null exactly: "auto" does when kn
+    fits `exact_cap`; a forced "exact" above the cap is refused."""
+    if method not in NULL_METHODS:
+        raise ValueError(f"unknown null method {method!r}; expected one of {NULL_METHODS}")
+    fits = k * n <= exact_cap
+    if method == "exact" and not fits:
+        raise ExactEngineCapError(
+            f"exact null for a {k}x{n} grid needs kn={k * n} <= the exact cap of {exact_cap}; "
+            f"raise the cap (up to {OPT_IN_EXACT_CELL_CAP}) or use a Monte Carlo null"
+        )
+    return method == "exact" or (method == "auto" and fits)
+
+
 def null_distributions_for(
     kinds: Iterable[StatisticKind],
     k: int,
     n: int,
-    exact_cap: int = 8,
+    exact_cap: int = DEFAULT_EXACT_CELL_CAP,
     mc_reps: int = 1_000_000,
     mc_seed: int | None = None,
     threads: int = 1,
-) -> Mapping[StatisticKind, NullDistribution]:
-    """Exact distributions when the grid fits the cap, Monte Carlo otherwise."""
-    from .nulldist import exact_null_distribution
-
+    method: str = "auto",
+) -> dict[StatisticKind, NullDistribution]:
+    """Null distributions of `kinds`, in request order, routed by `exact_route`."""
     kinds = tuple(dict.fromkeys(kinds))
-    if k * n <= exact_cap:
+    if exact_route(method, k, n, exact_cap):
         return {
             kind: exact_null_distribution(kind, k, n, max_cells=exact_cap)
             for kind in kinds
         }
     if mc_seed is None:
-        raise ValueError(
-            f"grid {k}x{n} exceeds the exact cap of {exact_cap} cells; "
-            "a Monte Carlo seed is required"
-        )
+        raise ValueError(f"a Monte Carlo null for a {k}x{n} grid needs a seed")
     return mc_null_distributions(kinds, k, n, mc_reps, mc_seed, threads=threads)

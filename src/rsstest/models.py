@@ -90,6 +90,23 @@ class ImperfectModel:
             raise DataValidationError(f"bad model parameter {lam!r}") from None
 
 
+def resolve_population(model_tag: str, population: str | None) -> Population:
+    """The population a model draws from: the concomitant model forces
+    'normal', every other model defaults to 'uniform'."""
+    if population not in (None, "uniform", "normal"):
+        raise DataValidationError(
+            f"unknown population {population!r}; expected 'uniform' or 'normal'"
+        )
+    if model_tag == "concomitant":
+        if population == "uniform":
+            raise DataValidationError(
+                "the concomitant model draws bivariate normal pairs; "
+                "population must be 'normal'"
+            )
+        return "normal"
+    return population or "uniform"
+
+
 @dataclass(frozen=True)
 class GeneratorConfig:
     """Everything needed to generate one sample reproducibly."""
@@ -103,19 +120,9 @@ class GeneratorConfig:
     def __post_init__(self) -> None:
         if self.k < 1 or self.n < 1:
             raise DataValidationError("k and n must be positive")
-        pop = self.population
-        if self.model.tag == "concomitant":
-            if pop == "uniform":
-                raise DataValidationError(
-                    "the concomitant model draws bivariate normal pairs; "
-                    "population must be 'normal'"
-                )
-            pop = "normal"
-        elif pop is None:
-            pop = "uniform"
-        if pop not in ("uniform", "normal"):
-            raise DataValidationError(f"unknown population {pop!r}")
-        object.__setattr__(self, "population", pop)
+        object.__setattr__(
+            self, "population", resolve_population(self.model.tag, self.population)
+        )
 
 
 def draw_cells(

@@ -83,6 +83,18 @@ class Provenance:
         else:
             raise ValueError(f"unknown provenance method {self.method!r}")
 
+    def to_json_dict(self) -> dict:
+        """The wire form: seed and reps appear only for Monte Carlo."""
+        doc: dict = {"method": self.method}
+        if self.method == "monte-carlo":
+            doc["seed"] = self.seed
+            doc["reps"] = self.reps
+        return doc
+
+    @classmethod
+    def from_json_dict(cls, doc: Mapping) -> "Provenance":
+        return cls(method=doc["method"], seed=doc.get("seed"), reps=doc.get("reps"))
+
 
 @dataclass(frozen=True)
 class NullDistribution:
@@ -131,16 +143,12 @@ class NullDistribution:
         return self.lower_tail(observed) if self.tail == "lower" else self.upper_tail(observed)
 
     def to_json_dict(self) -> dict:
-        prov: dict = {"method": self.provenance.method}
-        if self.provenance.method == "monte-carlo":
-            prov["seed"] = self.provenance.seed
-            prov["reps"] = self.provenance.reps
         return {
             "format": NULLDIST_FORMAT,
             "kind": self.kind.value,
             "k": self.k,
             "n": self.n,
-            "provenance": prov,
+            "provenance": self.provenance.to_json_dict(),
             "support": list(self.support),
             "probs": [f"{p.numerator}/{p.denominator}" for p in self.probs],
         }
@@ -154,18 +162,13 @@ class NullDistribution:
             raise DataValidationError(
                 f"not a {NULLDIST_FORMAT} document: {doc.get('format')!r}"
             )
-        prov = doc["provenance"]
         return cls(
             kind=StatisticKind.from_tag(doc["kind"]),
             k=int(doc["k"]),
             n=int(doc["n"]),
             support=tuple(int(v) for v in doc["support"]),
             probs=tuple(Fraction(p) for p in doc["probs"]),
-            provenance=Provenance(
-                method=prov["method"],
-                seed=prov.get("seed"),
-                reps=prov.get("reps"),
-            ),
+            provenance=Provenance.from_json_dict(doc["provenance"]),
         )
 
     @classmethod
@@ -208,54 +211,41 @@ class CriticalValues:
 
 
 def critical_value(dist: NullDistribution, alpha) -> CriticalValues:
-    """Randomized-test critical quantities at level alpha."""
+    """Randomized-test critical quantities at level alpha.
+
+    One walk over the atoms from the rejecting tail inward: the atoms
+    whose cumulative mass stays within alpha form the outright rejection
+    region, and the first atom past it is the randomisation boundary.
+    """
     level = as_exact_probability(alpha)
     if level == 0:
         raise ValueError("alpha must be positive")
-    support, probs = dist.support, dist.probs
-
-    if dist.tail == "upper":
-        tail = Fraction(0)
-        best = None  # (cv, attained)
-        for v, p in zip(reversed(support), reversed(probs)):
-            if tail + p > level:
-                break
-            tail += p
-            best = (v, tail)
-        if best is None:
-            return CriticalValues(
-                cv=support[-1] + 1,
-                attained_level=Fraction(0),
-                gamma=level / probs[-1],
-                boundary=support[-1],
-            )
-        cv, attained = best
-        idx = support.index(cv)
-        boundary = support[idx - 1] if idx else None
-        gamma = (level - attained) / probs[idx - 1] if idx else Fraction(0)
-        return CriticalValues(cv=cv, attained_level=attained, gamma=gamma, boundary=boundary)
-
-    tail = Fraction(0)
-    best = None
-    for v, p in zip(support, probs):
-        if tail + p > level:
+    atoms = list(zip(dist.support, dist.probs))
+    outward = -1 if dist.tail == "lower" else 1
+    if outward == 1:
+        atoms.reverse()
+    attained = Fraction(0)
+    inside = 0  # atoms in the outright rejection region
+    for _, p in atoms:
+        if attained + p > level:
             break
-        tail += p
-        best = (v, tail)
-    if best is None:
+        attained += p
+        inside += 1
+    if inside == 0:
+        edge, p_edge = atoms[0]
         return CriticalValues(
-            cv=support[0] - 1,
-            attained_level=Fraction(0),
-            gamma=level / probs[0],
-            boundary=support[0],
+            cv=edge + outward, attained_level=Fraction(0), gamma=level / p_edge, boundary=edge
         )
-    cv, attained = best
-    idx = support.index(cv)
-    boundary = support[idx + 1] if idx + 1 < len(support) else None
-    gamma = (
-        (level - attained) / probs[idx + 1] if idx + 1 < len(support) else Fraction(0)
+    cv = atoms[inside - 1][0]
+    if inside == len(atoms):
+        return CriticalValues(cv=cv, attained_level=attained, gamma=Fraction(0), boundary=None)
+    boundary, p_boundary = atoms[inside]
+    return CriticalValues(
+        cv=cv,
+        attained_level=attained,
+        gamma=(level - attained) / p_boundary,
+        boundary=boundary,
     )
-    return CriticalValues(cv=cv, attained_level=attained, gamma=gamma, boundary=boundary)
 
 
 class Decision(str, Enum):
@@ -288,10 +278,6 @@ class TestResult:
         return self.decision is not Decision.ACCEPT
 
     def to_json_dict(self) -> dict:
-        prov: dict = {"method": self.provenance.method}
-        if self.provenance.method == "monte-carlo":
-            prov["seed"] = self.provenance.seed
-            prov["reps"] = self.provenance.reps
         return {
             "format": TEST_RESULT_FORMAT,
             "kind": self.kind.value,
@@ -309,7 +295,7 @@ class TestResult:
             "decision": self.decision.value,
             "tail": self.tail,
             "randomized": self.randomized,
-            "null": prov,
+            "null": self.provenance.to_json_dict(),
         }
 
     def to_json(self) -> str:
@@ -321,7 +307,6 @@ class TestResult:
             raise DataValidationError(
                 f"not a {TEST_RESULT_FORMAT} document: {doc.get('format')!r}"
             )
-        prov = doc["null"]
         return cls(
             kind=StatisticKind.from_tag(doc["kind"]),
             k=int(doc["k"]),
@@ -336,9 +321,7 @@ class TestResult:
             decision=Decision(doc["decision"]),
             tail=doc["tail"],
             randomized=bool(doc["randomized"]),
-            provenance=Provenance(
-                method=prov["method"], seed=prov.get("seed"), reps=prov.get("reps")
-            ),
+            provenance=Provenance.from_json_dict(doc["null"]),
         )
 
     @classmethod

@@ -9,9 +9,10 @@ replicate by replicate.
 
 Chunks map to fixed streams (seed, POWER_STREAM_BASE + grid offset + c),
 so estimates are reproducible and independent of the worker count.  Null
-critical values come from the exact engine when the grid is small enough
-and from a high-replication Monte Carlo run otherwise; the null stream
-indices are disjoint from the power stream indices by construction.
+critical values come from `mc.null_distributions_for`, which holds the
+package's one exact-versus-Monte-Carlo policy (`mc.exact_route`); a Monte
+Carlo null defaults to the study seed, and its stream indices are disjoint
+from the power stream indices by construction.
 """
 
 from __future__ import annotations
@@ -19,21 +20,16 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .batch import evaluate_batch
 from .errors import DataValidationError
-from .mc import mc_null_distributions
-from .models import ImperfectModel, Population, draw_cells
-from .nulldist import (
-    NullDistribution,
-    Provenance,
-    as_exact_probability,
-    critical_value,
-    exact_null_distribution,
-)
+from .exact import DEFAULT_EXACT_CELL_CAP
+from .mc import NULL_METHODS, null_distributions_for
+from .models import ImperfectModel, Population, draw_cells, resolve_population
+from .nulldist import NullDistribution, Provenance, as_exact_probability, critical_value
 from .statistics import StatisticKind, is_lower_tail
 from .streams import POWER_STREAM_BASE, substream
 
@@ -46,7 +42,8 @@ _LAMBDA_STRIDE = 1 << 20  # max chunks per grid point
 class NullSource:
     """Where a power study's null distributions come from.
 
-    method "auto" uses the exact engine for grids of at most
+    `method`, `exact_cells_cap`, `reps` and `seed` feed
+    `mc.null_distributions_for`: "auto" is exact for grids of at most
     `exact_cells_cap` cells and Monte Carlo with `reps` replicates
     otherwise; "exact" and "monte-carlo" force one route.
     """
@@ -54,10 +51,10 @@ class NullSource:
     method: str = "auto"
     reps: int = 1_000_000
     seed: int | None = None
-    exact_cells_cap: int = 8
+    exact_cells_cap: int = DEFAULT_EXACT_CELL_CAP
 
     def __post_init__(self) -> None:
-        if self.method not in ("auto", "exact", "monte-carlo"):
+        if self.method not in NULL_METHODS:
             raise DataValidationError(f"unknown null source {self.method!r}")
 
 
@@ -91,17 +88,12 @@ class PowerStudy:
             raise DataValidationError("alpha must lie strictly between 0 and 1")
         if self.reps < 1:
             raise DataValidationError("reps must be at least 1")
-        pop = self.population
-        if self.model_tag == "concomitant":
-            if pop == "uniform":
-                raise DataValidationError("the concomitant model requires population 'normal'")
-            pop = "normal"
-        elif pop is None:
-            pop = "uniform"
         object.__setattr__(self, "kinds", kinds)
         object.__setattr__(self, "lambda_grid", tuple(float(v) for v in self.lambda_grid))
         object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "population", pop)
+        object.__setattr__(
+            self, "population", resolve_population(self.model_tag, self.population)
+        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -114,12 +106,7 @@ class PowerStudy:
             "reps": self.reps,
             "seed": self.seed,
             "population": self.population,
-            "null": {
-                "method": self.null.method,
-                "reps": self.null.reps,
-                "seed": self.null.seed,
-                "exact_cells_cap": self.null.exact_cells_cap,
-            },
+            "null": asdict(self.null),
         }
 
     @classmethod
@@ -203,13 +190,10 @@ class PowerTable:
                 }
                 for c in self.cells
             ],
+            # rows keep explicit seed/reps keys, null on exact rows
             "null_provenance": [
-                {
-                    "kind": kind.value,
-                    "method": prov.method,
-                    "seed": prov.seed,
-                    "reps": prov.reps,
-                }
+                {"kind": kind.value, "method": None, "seed": None, "reps": None}
+                | prov.to_json_dict()
                 for kind, prov in self.null_provenance
             ],
         }
@@ -235,10 +219,7 @@ class PowerTable:
                 for c in doc["cells"]
             ),
             null_provenance=tuple(
-                (
-                    StatisticKind.from_tag(p["kind"]),
-                    Provenance(method=p["method"], seed=p.get("seed"), reps=p.get("reps")),
-                )
+                (StatisticKind.from_tag(p["kind"]), Provenance.from_json_dict(p))
                 for p in doc["null_provenance"]
             ),
         )
@@ -251,23 +232,13 @@ class PowerTable:
 def resolve_null_distributions(
     study: PowerStudy, threads: int = 1
 ) -> Mapping[StatisticKind, NullDistribution]:
-    """Build the study's null distributions per its null-source policy."""
+    """Build the study's null distributions per its null source; a Monte
+    Carlo null without its own seed uses the study seed."""
     src = study.null
-    use_exact = src.method == "exact" or (
-        src.method == "auto" and study.k * study.n <= src.exact_cells_cap
-    )
-    if use_exact:
-        # a forced exact source still honours the cell cap (raise
-        # exact_cells_cap explicitly to opt in to larger grids)
-        return {
-            kind: exact_null_distribution(
-                kind, study.k, study.n, max_cells=src.exact_cells_cap
-            )
-            for kind in study.kinds
-        }
-    null_seed = src.seed if src.seed is not None else study.seed
-    return mc_null_distributions(
-        study.kinds, study.k, study.n, src.reps, null_seed, threads=threads
+    return null_distributions_for(
+        study.kinds, study.k, study.n, exact_cap=src.exact_cells_cap, mc_reps=src.reps,
+        mc_seed=study.seed if src.seed is None else src.seed,
+        threads=threads, method=src.method,
     )
 
 

@@ -308,6 +308,62 @@ def test_config_file_unknown_key(nested_csv, tmp_path, capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["test", "--alpha", "1.5"],
+        ["test", "--alpha", "abc"],
+        ["test", "--alpha", "0"],
+        ["null-table", "--k", "2", "--n", "2", "--alphas", "0.05,0"],
+        ["null-table", "--k", "0..2", "--n", "2"],
+        ["power", "--k", "2", "--n", "2", "--model", "neighbor:1", "--seed", "1", "--alpha", "0"],
+        ["test", "--null-reps", "0", "--null", "mc"],
+    ],
+)
+def test_bad_flag_value_is_one_line_usage_error(argv, nested_csv, capsys):
+    if argv[0] == "test":
+        argv = argv + ["--layout", "cycles-as-rows", str(nested_csv)]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("line", ["stat=PB", "null=bogus", "alpha=abc", "format=xml"])
+def test_bad_config_value_meets_flag_choices(line, nested_csv, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"layout=cycles-as-rows\n{line}\n")
+    code = main(["test", "--config", str(cfg), str(nested_csv)])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_config_flag_value_and_boolean(inverted_csv, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("layout=cycles-as-rows\nrandomized=yes\nseed=-5\nnull-reps=2000\nnull=mc\n")
+    code = main(["test", "--config", str(cfg), "--format", "json", str(inverted_csv)])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == EXIT_REJECT
+    assert doc["cli"]["randomized"] and doc["cli"]["seed"] == -5
+    assert doc["null"] == {"method": "monte-carlo", "seed": -5, "reps": 2000}
+
+
+def test_missing_data_file_is_data_error(tmp_path, capsys):
+    code = main(["test", "--layout", "cycles-as-rows", str(tmp_path / "absent.csv")])
+    err = capsys.readouterr().err
+    assert code == EXIT_DATA
+    assert err.startswith("error: cannot read") and err.count("\n") == 1
+
+
+def test_exact_cap_above_opt_in_ceiling_is_refused(tmp_path, capsys):
+    path = tmp_path / "three_by_four.csv"
+    path.write_text("\n".join(",".join(str(10 * l + i) for i in range(3)) for l in range(4)))
+    code = main(["test", "--layout", "cycles-as-rows", "--exact-cap", "12", str(path)])
+    assert code == EXIT_DATA
+    assert "cap of 10" in capsys.readouterr().err
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert main(["test", "--help"]) == 0

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import time
 from collections import defaultdict
 from fractions import Fraction
 
@@ -139,6 +140,18 @@ def test_cap_refusal_names_alternative():
         exact_distributions(3, 3)
     with pytest.raises(ExactEngineCapError):
         exact_distributions(4, 3, max_cells=10)
+
+
+def test_cap_never_exceeds_opt_in_ceiling():
+    # a larger max_cells is refused at once, before any enumeration
+    from rsstest.exact import _exact_histograms
+
+    misses = _exact_histograms.cache_info().misses
+    start = time.perf_counter()
+    with pytest.raises(ExactEngineCapError, match="cap of 10"):
+        exact_distributions(3, 4, max_cells=12)
+    assert time.perf_counter() - start < 1.0
+    assert _exact_histograms.cache_info().misses == misses
 
 
 def test_opt_in_cap_allows_nine_cells():

@@ -11,6 +11,7 @@ from rsstest import (
     ALL_KINDS,
     Decision,
     DistributionMismatchError,
+    ExactEngineCapError,
     NullDistribution,
     Provenance,
     StatisticKind,
@@ -19,8 +20,10 @@ from rsstest import (
     evaluate,
     exact_distributions,
     exact_null_distribution,
+    exact_route,
     mc_null_distribution,
     mc_null_distributions,
+    null_distributions_for,
     run_test,
     simulate_null_sample,
     substream,
@@ -114,6 +117,50 @@ def test_critical_value_lower_tail_mirror():
     assert dist.lower_tail(crit.cv) <= Fraction(1, 20)
     assert crit.boundary > crit.cv
     assert dist.lower_tail(crit.cv) + crit.gamma * dist.prob_of(crit.boundary) == Fraction(1, 20)
+
+
+def oracle_critical_value(dist, level):
+    """(cv, attained, gamma, boundary) straight from the randomized test's
+    definition: cv is the least extreme support point whose tail mass stays
+    within alpha (one step past the support when there is none), the
+    boundary is the next support point inside, and gamma tops the size up
+    to exactly alpha."""
+    lower = dist.tail == "lower"
+    tail = dist.lower_tail if lower else dist.upper_tail
+    inside = [v for v in dist.support if tail(v) <= level]
+    if inside:
+        cv = max(inside) if lower else min(inside)
+        attained = tail(cv)
+    else:
+        cv = dist.support[0] - 1 if lower else dist.support[-1] + 1
+        attained = Fraction(0)
+    nearer = [v for v in dist.support if (v > cv if lower else v < cv)]
+    if not nearer:
+        return cv, attained, Fraction(0), None
+    boundary = min(nearer) if lower else max(nearer)
+    return cv, attained, (level - attained) / dist.prob_of(boundary), boundary
+
+
+SMALL_GRIDS = [(k, n) for k in range(1, 7) for n in range(1, 7) if k * n <= 6]
+
+
+@pytest.mark.parametrize("k,n", SMALL_GRIDS)
+def test_critical_value_matches_definition_at_every_atom(k, n):
+    # alpha exactly at each cumulative tail mass, and just above it, for
+    # every statistic (upper tails and Wstar's lower tail)
+    for kind in ALL_KINDS:
+        dist = exact_null_distribution(kind, k, n)
+        order = dist.probs if dist.tail == "lower" else dist.probs[::-1]
+        step = min(dist.probs) / 2
+        cumulative = Fraction(0)
+        for p in order:
+            cumulative += p
+            for level in (cumulative, cumulative + step):
+                if level > 1:
+                    continue
+                crit = critical_value(dist, level)
+                got = (crit.cv, crit.attained_level, crit.gamma, crit.boundary)
+                assert got == oracle_critical_value(dist, level), (kind, k, n, level)
 
 
 def test_upper_and_lower_tails():
@@ -309,6 +356,35 @@ def test_k2_equivalent_statistics_decide_identically():
                 reject = t >= crit.cv or (t == crit.boundary and u < float(crit.gamma))
             outcomes.append(reject)
         assert len(set(outcomes)) == 1
+
+
+# ---------------------------------------------------------------------------
+# null-source resolution
+# ---------------------------------------------------------------------------
+
+
+def test_exact_route_policy():
+    assert exact_route("auto", 2, 4, 8)
+    assert not exact_route("auto", 3, 3, 8)
+    assert exact_route("auto", 3, 3, 9)
+    assert exact_route("exact", 2, 2, 8)
+    assert not exact_route("monte-carlo", 2, 2, 8)
+    with pytest.raises(ExactEngineCapError, match="cap"):
+        exact_route("exact", 3, 3, 8)
+    with pytest.raises(ValueError, match="null method"):
+        exact_route("mc", 2, 2, 8)
+
+
+def test_null_distributions_for_routes_and_keeps_request_order():
+    kinds = [K.WSTAR, K.PA, K.J, K.PA]
+    exact = null_distributions_for(kinds, 2, 2)
+    assert list(exact) == [K.WSTAR, K.PA, K.J]
+    assert exact[K.PA] == exact_null_distribution(K.PA, 2, 2)
+    mc = null_distributions_for(kinds, 2, 2, mc_reps=2000, mc_seed=5, method="monte-carlo")
+    assert list(mc) == [K.WSTAR, K.PA, K.J]
+    assert mc[K.PA] == mc_null_distribution(K.PA, 2, 2, 2000, seed=5)
+    with pytest.raises(ValueError, match="seed"):
+        null_distributions_for(kinds, 3, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,17 @@ def test_study_validation():
         small_study(model_tag="concomitant", lambda_grid=(0.5,), population="uniform")
 
 
+def test_unknown_population_is_refused():
+    with pytest.raises(DataValidationError, match="population"):
+        small_study(population="gaussian")
+    with pytest.raises(DataValidationError, match="population"):
+        small_study(model_tag="concomitant", lambda_grid=(0.5,), population="gaussian")
+    doc = estimate_power(small_study(reps=100)).to_json_dict()
+    doc["study"]["population"] = "gaussian"
+    with pytest.raises(DataValidationError, match="population"):
+        PowerTable.from_json_dict(doc)
+
+
 def test_concomitant_forces_normal_population():
     study = small_study(model_tag="concomitant", lambda_grid=(0.5, 1.0))
     assert study.population == "normal"

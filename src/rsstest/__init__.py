@@ -23,7 +23,6 @@ from .mc import (
     mc_null_distribution,
     mc_null_distributions,
     null_distributions_for,
-    simulate_null_sample,
 )
 from .models import (
     GeneratorConfig,
@@ -55,11 +54,7 @@ from .power import (
     estimate_power,
 )
 from .sample import (
-    ColumnProportions,
-    RankInfo,
     RssSample,
-    column_proportions,
-    compute_ranks,
     monotone_transform,
     parse_csv,
 )
@@ -67,17 +62,11 @@ from .statistics import (
     ALL_KINDS,
     DEFAULT_ENUMERATION_BUDGET,
     StatisticKind,
-    aggregate,
     brute_force_perm_all,
-    brute_force_perm_stat,
     evaluate,
-    fast_pa,
     is_lower_tail,
-    j_statistic,
-    per_cycle_stats,
     ps_offset,
     statistic_range,
-    w_star,
 )
 from .streams import fresh_seed, substream
 from .verify import VerificationReport, run_verification

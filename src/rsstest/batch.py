@@ -1,11 +1,18 @@
-"""Vectorised statistic evaluation over batches of samples.
+"""The one evaluation kernel for the eleven statistics.
 
-`evaluate_batch` computes any subset of the eleven statistics for a whole
-(B, k, n) array of samples at once, in int64 arithmetic.  It mirrors the
-scalar routines in `statistics` exactly (the test suite asserts integer
-equality between the two on random batches); the scalar code stays the
-readable reference, this module is what makes 10^5..10^6-replicate Monte
-Carlo runs affordable.
+`evaluate_batch` computes any subset of the statistics for a whole
+(B, k, n) array of samples at once; scalar `statistics.evaluate` is a
+one-sample call into it, so every statistic is computed in one place.
+The independent oracles the tests and `verify` compare it with are
+`statistics.tuple_discrepancies` (one cycle, or one recombined sample)
+and `statistics.brute_force_perm_all` (the n^k enumeration).
+
+Results are exact integers on every grid.  Rank counts (within-cycle
+ranks, J, overall ranks, per-slot counts below each cell) are at most
+k * (kn)^2 and stay int64.  The scaled quantities (PN, PS and the PA
+convolution) grow like n^k * k^3; `_accumulator` decides from (k, n)
+alone whether they fit in int64, and where they do not the same code
+runs with Python-int (object) accumulators instead of wrapping.
 """
 
 from __future__ import annotations
@@ -22,20 +29,37 @@ from .statistics import (
     ps_offset,
 )
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _accumulator(k: int, n: int) -> type:
+    """np.int64 when every scaled intermediate on a k x n grid fits, else object.
+
+    PN = n^(k-2) * J and every PA convolution sum are at most n^k * k^2;
+    ps_offset(k, n) bounds both PS and 2 * n^(k-2) * Wstar.
+    """
+    bound = n**k * k * k
+    if k >= 2:
+        bound = max(bound, ps_offset(k, n))
+    return np.int64 if bound <= _INT64_MAX else object
+
 
 def evaluate_batch(
     values: np.ndarray, kinds: Iterable[StatisticKind]
 ) -> Mapping[StatisticKind, np.ndarray]:
     """Evaluate statistics for every sample in a (B, k, n) array.
 
-    Returns a dict mapping each requested kind to an int64 array of
-    length B.  Values within each sample must be pairwise distinct.
+    Returns a dict mapping each requested kind to an integer array of
+    length B: int64 where the grid's values fit in it, otherwise an
+    object array of Python ints.  Values within each sample must be
+    pairwise distinct.
     """
     vals = np.asarray(values, dtype=np.float64)
     if vals.ndim != 3:
         raise ValueError("values must have shape (batch, k, n)")
     b, k, n = vals.shape
-    kinds = tuple(dict.fromkeys(kinds))
+    kinds = tuple(dict.fromkeys(StatisticKind(kind) for kind in kinds))
+    acc = _accumulator(k, n)
     out: dict[StatisticKind, np.ndarray] = {}
 
     need = set(kinds)
@@ -74,40 +98,42 @@ def evaluate_batch(
         if StatisticKind.WSTAR in need:
             out[StatisticKind.WSTAR] = w_stat
         if StatisticKind.PN in need:
-            out[StatisticKind.PN] = n ** max(k - 2, 0) * j_stat if k >= 2 else np.zeros(b, np.int64)
+            # J is 0 for k = 1, where every recombined sample is sorted
+            out[StatisticKind.PN] = n ** max(k - 2, 0) * j_stat.astype(acc, copy=False)
         if StatisticKind.PS in need:
             if k >= 2:
-                out[StatisticKind.PS] = ps_offset(k, n) - 2 * n ** (k - 2) * w_stat
+                scaled = 2 * n ** (k - 2) * w_stat.astype(acc, copy=False)
+                out[StatisticKind.PS] = ps_offset(k, n) - scaled
             else:
                 out[StatisticKind.PS] = np.zeros(b, np.int64)
         if StatisticKind.PA in need:
             # below_counts[b, j, c, i]: slot-i values under cell (j, c)
             below_counts = above.sum(axis=4, dtype=np.int64)
-            out[StatisticKind.PA] = _pa_from_counts(below_counts, k, n)
+            out[StatisticKind.PA] = _pa_from_counts(below_counts, k, n, acc)
 
     return {kind: out[kind] for kind in kinds}
 
 
-def _pa_from_counts(below_counts: np.ndarray, k: int, n: int) -> np.ndarray:
+def _pa_from_counts(below_counts: np.ndarray, k: int, n: int, acc: type) -> np.ndarray:
     """PA via per-cell Bernoulli-sum convolution, batched.
 
     For cell (j, c) the rank in a random recombination is 1 plus a sum of
     independent Bernoulli(below/n) over the other slots; pmf numerators
-    are convolved in int64 over the common denominator n^(k-1) and
-    n^(k-1) * E|rank - j| reduces to an exact integer per cell.
+    are convolved in `acc` integers over the common denominator n^(k-1)
+    and n^(k-1) * E|rank - j| reduces to an exact integer per cell.
     """
     b = below_counts.shape[0]
-    pa = np.zeros(b, dtype=np.int64)
+    pa = np.zeros(b, dtype=acc)
     for j in range(k):
-        pmf = np.zeros((b, n, k), dtype=np.int64)
+        pmf = np.zeros((b, n, k), dtype=acc)
         pmf[:, :, 0] = 1
         for i in range(k):
             if i == j:
                 continue
-            m = below_counts[:, j, :, i]  # (B, n)
+            m = below_counts[:, j, :, i].astype(acc, copy=False)  # (B, n)
             nxt = pmf * (n - m)[:, :, None]
             nxt[:, :, 1:] += pmf[:, :, :-1] * m[:, :, None]
             pmf = nxt
-        weights = np.abs(np.arange(k, dtype=np.int64) - j)
+        weights = np.abs(np.arange(k, dtype=np.int64) - j).astype(acc, copy=False)
         pa += np.einsum("bcs,s->b", pmf, weights)
     return pa

@@ -25,7 +25,6 @@ from .errors import ExactEngineCapError
 from .exact import DEFAULT_EXACT_CELL_CAP, OPT_IN_EXACT_CELL_CAP
 from .models import ImperfectModel, draw_cells
 from .nulldist import NullDistribution, Provenance, exact_null_distribution
-from .sample import RssSample
 from .statistics import StatisticKind
 from .streams import NULL_STREAM_BASE, substream
 
@@ -33,13 +32,6 @@ CHUNK_SIZE = 8192
 NULL_METHODS = ("auto", "exact", "monte-carlo")
 
 _PERFECT = ImperfectModel("perfect")
-
-
-def simulate_null_sample(k: int, n: int, rng: np.random.Generator) -> RssSample:
-    """One perfect-ranking sample: each cell the i-th smallest of its own
-    k uniform draws."""
-    cells = draw_cells(_PERFECT, "uniform", k, n, 1, rng)[0]
-    return RssSample(tuple(tuple(float(v) for v in row) for row in cells))
 
 
 def mc_null_distributions(

@@ -1,4 +1,4 @@
-"""Balanced ranked set samples and the rank quantities derived from them.
+"""Balanced ranked set samples: validation, CSV parsing, monotone transforms.
 
 A balanced ranked set sample (BRSS) with set size k and n cycles is a
 k x n grid of measured values: cell (i, l) holds the value measured for
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterable, Literal
 
 from .errors import DataValidationError, TieError
@@ -23,7 +22,6 @@ from .errors import DataValidationError, TieError
 Layout = Literal["cycles-as-rows", "cycles-as-columns"]
 
 Matrix = tuple[tuple[float, ...], ...]
-IntMatrix = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -68,43 +66,9 @@ class RssSample:
 
     def cycle(self, l: int) -> tuple[float, ...]:
         """The k values of cycle l (1-based), ordered by rank slot."""
+        if not 1 <= l <= self.n:
+            raise ValueError(f"cycle index {l} out of range 1..{self.n}")
         return tuple(self.values[i][l - 1] for i in range(self.k))
-
-
-@dataclass(frozen=True)
-class RankInfo:
-    """Within-cycle ranks, overall ranks and per-slot order counts.
-
-    within_cycle[i][l]: rank (1..k) of cell (i, l) among the k values of
-    cycle l.  overall[i][l]: rank (1..kn) of cell (i, l) among all k*n
-    values.  column_counts[i][l]: number of cycles l' whose slot-i value
-    is below cell (i, l); each slot's counts are a permutation of 0..n-1.
-    """
-
-    k: int
-    n: int
-    within_cycle: IntMatrix
-    overall: IntMatrix
-    column_counts: IntMatrix
-
-
-@dataclass(frozen=True)
-class ColumnProportions:
-    """For each cell (j, l), how much of every other slot sits below it.
-
-    below[i][j][l] counts cycles l' with values[i][l'] < values[j][l];
-    the proportion p_i(j, l) = below[i][j][l] / n is an exact fraction
-    with denominator n.  The diagonal i == j holds the same count within
-    the cell's own slot (it equals column_counts[j][l]).
-    """
-
-    k: int
-    n: int
-    below: tuple[IntMatrix, ...]
-
-    def p(self, i: int, j: int, l: int) -> Fraction:
-        """Proportion of slot-i values below cell (j, l); all 1-based."""
-        return Fraction(self.below[i - 1][j - 1][l - 1], self.n)
 
 
 def _check_distinct(rows: Matrix) -> None:
@@ -169,48 +133,6 @@ def parse_csv(text: str | Iterable[str], layout: Layout) -> RssSample:
     if n < 1:
         raise DataValidationError("at least one cycle is required")
     return RssSample(values)
-
-
-def compute_ranks(sample: RssSample) -> RankInfo:
-    """Rank every cell within its cycle, overall, and within its slot."""
-    k, n = sample.k, sample.n
-    vals = sample.values
-
-    within = tuple(
-        tuple(
-            1 + sum(1 for i2 in range(k) if vals[i2][l] < vals[i][l])
-            for l in range(n)
-        )
-        for i in range(k)
-    )
-    flat = sorted(v for row in vals for v in row)
-    pos = {v: r + 1 for r, v in enumerate(flat)}
-    overall = tuple(tuple(pos[vals[i][l]] for l in range(n)) for i in range(k))
-    counts = tuple(
-        tuple(
-            sum(1 for l2 in range(n) if vals[i][l2] < vals[i][l])
-            for l in range(n)
-        )
-        for i in range(k)
-    )
-    return RankInfo(k=k, n=n, within_cycle=within, overall=overall, column_counts=counts)
-
-
-def column_proportions(sample: RssSample) -> ColumnProportions:
-    """Count, for every cell, the values of each slot lying below it."""
-    k, n = sample.k, sample.n
-    vals = sample.values
-    below = tuple(
-        tuple(
-            tuple(
-                sum(1 for l2 in range(n) if vals[i][l2] < vals[j][l])
-                for l in range(n)
-            )
-            for j in range(k)
-        )
-        for i in range(k)
-    )
-    return ColumnProportions(k=k, n=n, below=below)
 
 
 def monotone_transform(sample: RssSample, f: Callable[[float], float]) -> RssSample:

@@ -15,15 +15,20 @@ N counts slot pairs i < j whose values are out of order, A = sum |R_i - i|,
 S = sum (R_i - i)^2.  All statistics are integers on tie-free data, and
 all are invariant under strictly increasing transforms of the values.
 
-Two identities tie the recombination statistics to cheaper ones and are
-exercised exactly (integer equality) by the test suite:
+This module defines the statistics and holds their defining
+computations: `tuple_discrepancies` for one cycle or one recombined
+sample, and `brute_force_perm_all`, the n^k enumeration of PN, PA and
+PS.  `evaluate` computes any statistic through the one kernel,
+`batch.evaluate_batch`, which avoids the enumeration with two exact
+identities,
 
   PN = n^(k-2) * J
-  PS = ps_offset(k, n) - 2 * n^(k-2) * Wstar
+  PS = ps_offset(k, n) - 2 * n^(k-2) * Wstar,
 
-PA has no such affine shortcut; `fast_pa` computes it by convolving, for
-each cell, the Bernoulli indicators of the other slots lying below it
-(the cell's rank in a random recombination is 1 plus that sum).
+and for PA a per-cell convolution of the Bernoulli indicators of the
+other slots lying below the cell (its rank in a random recombination is
+1 plus that sum).  The test suite and `verify` check the kernel against
+the defining computations with integer equality.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ import itertools
 from enum import Enum
 
 from .errors import EnumerationBudgetError
-from .sample import RankInfo, RssSample, column_proportions, compute_ranks
+from .sample import RssSample
 
 
 class StatisticKind(str, Enum):
@@ -85,42 +90,20 @@ def tuple_discrepancies(values: tuple[float, ...]) -> tuple[int, int, int]:
     return n_stat, a_stat, s_stat
 
 
-def per_cycle_stats(ranks: RankInfo, l: int) -> tuple[int, int, int]:
-    """(N, A, S) for cycle l (1-based)."""
-    if not 1 <= l <= ranks.n:
-        raise ValueError(f"cycle index {l} out of range 1..{ranks.n}")
-    col = [ranks.within_cycle[i][l - 1] for i in range(ranks.k)]
-    k = ranks.k
-    n_stat = sum(1 for i in range(k - 1) for j in range(i + 1, k) if col[i] > col[j])
-    a_stat = sum(abs(r - (i + 1)) for i, r in enumerate(col))
-    s_stat = sum((r - (i + 1)) ** 2 for i, r in enumerate(col))
-    return n_stat, a_stat, s_stat
-
-
-def aggregate(ranks: RankInfo, kind: StatisticKind) -> int:
-    """Sum or maximum of a per-cycle discrepancy across all cycles."""
-    if kind not in SUM_KINDS and kind not in MAX_KINDS:
-        raise ValueError(f"{kind.value} is not a per-cycle sum or max tag")
-    per_cycle = [per_cycle_stats(ranks, l) for l in range(1, ranks.n + 1)]
-    idx = {"N": 0, "A": 1, "S": 2}[kind.value[0]]
-    series = [t[idx] for t in per_cycle]
-    return sum(series) if kind in SUM_KINDS else max(series)
-
-
 def brute_force_perm_all(
     sample: RssSample, budget: int = DEFAULT_ENUMERATION_BUDGET
 ) -> tuple[int, int, int]:
     """(PN, PA, PS) by full enumeration of all n^k recombinations.
 
-    This is the defining computation and the oracle for the fast paths;
-    it refuses grids whose n^k exceeds `budget`.
+    This is the defining computation and the oracle for `evaluate`; it
+    refuses grids whose n^k exceeds `budget`.
     """
     k, n = sample.k, sample.n
     total = n**k
     if total > budget:
         raise EnumerationBudgetError(
             f"enumerating {total} recombined samples exceeds the budget of {budget}; "
-            "use fast_pa for PA or the J / Wstar equivalents for PN / PS"
+            "use evaluate, which computes PN, PA and PS without enumeration"
         )
     rows = sample.values
     pn = pa = ps = 0
@@ -131,69 +114,6 @@ def brute_force_perm_all(
         pa += da
         ps += ds
     return pn, pa, ps
-
-
-def brute_force_perm_stat(
-    sample: RssSample,
-    kind: StatisticKind,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
-) -> int:
-    """One of PN, PA, PS by full enumeration (see brute_force_perm_all)."""
-    if kind not in PERM_KINDS:
-        raise ValueError(f"{kind.value} is not a recombination statistic")
-    pn, pa, ps = brute_force_perm_all(sample, budget)
-    return {StatisticKind.PN: pn, StatisticKind.PA: pa, StatisticKind.PS: ps}[kind]
-
-
-def fast_pa(sample: RssSample) -> int:
-    """PA without enumeration, via Bernoulli convolutions per cell.
-
-    For cell (j, l), its rank in a uniformly chosen recombination that
-    contains it is 1 + sum of independent Bernoulli(below[i]/n) over the
-    other slots i.  Summing n^(k-1) * E|rank - j| over cells gives PA.
-    The convolution is carried in integer numerators over the common
-    denominator n^(k-1), so the result is exact.
-    """
-    k, n = sample.k, sample.n
-    props = column_proportions(sample)
-    total = 0
-    for j in range(k):
-        for l in range(n):
-            # pmf numerators of the Bernoulli-sum over denominator n^(k-1)
-            pmf = [1] + [0] * (k - 1)
-            for i in range(k):
-                if i == j:
-                    continue
-                m = props.below[i][j][l]
-                prev = pmf
-                pmf = [0] * k
-                for s, w in enumerate(prev):
-                    if not w:
-                        continue
-                    pmf[s] += w * (n - m)
-                    pmf[s + 1] += w * m
-            total += sum(w * abs(s - j) for s, w in enumerate(pmf))
-    return total
-
-
-def j_statistic(sample: RssSample) -> int:
-    """Count of cross-cycle pairs (slot i below slot j) in the wrong order."""
-    k, n = sample.k, sample.n
-    rows = sample.values
-    total = 0
-    for i in range(k - 1):
-        for j in range(i + 1, k):
-            total += sum(
-                1 for a in range(n) for b in range(n) if rows[i][a] > rows[j][b]
-            )
-    return total
-
-
-def w_star(ranks: RankInfo) -> int:
-    """Sum over cells of (slot index) * (overall rank); rejects LOW."""
-    return sum(
-        (j + 1) * ranks.overall[j][l] for j in range(ranks.k) for l in range(ranks.n)
-    )
 
 
 def ps_offset(k: int, n: int) -> int:
@@ -214,33 +134,16 @@ def ps_offset(k: int, n: int) -> int:
     )
 
 
-def evaluate(
-    sample: RssSample,
-    kind: StatisticKind,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
-) -> int:
-    """Evaluate any statistic on a sample, using the cheap route for each.
+def evaluate(sample: RssSample, kind: StatisticKind) -> int:
+    """Evaluate any statistic on one sample, as an exact Python int.
 
-    PN and PS go through their exact identities with J and Wstar, PA
-    through the convolution path, so no tag needs the n^k enumeration
-    (which remains available as `brute_force_perm_stat`).
+    A one-sample call into `batch.evaluate_batch`, the kernel that
+    computes every statistic without the n^k enumeration.
     """
-    k, n = sample.k, sample.n
-    if kind in SUM_KINDS or kind in MAX_KINDS:
-        return aggregate(compute_ranks(sample), kind)
-    if kind is StatisticKind.J:
-        return j_statistic(sample)
-    if kind is StatisticKind.WSTAR:
-        return w_star(compute_ranks(sample))
-    if kind is StatisticKind.PA:
-        return fast_pa(sample)
-    if k == 1:
-        return 0  # single slot: every recombined sample is trivially sorted
-    if kind is StatisticKind.PN:
-        return n ** (k - 2) * j_statistic(sample)
-    if kind is StatisticKind.PS:
-        return ps_offset(k, n) - 2 * n ** (k - 2) * w_star(compute_ranks(sample))
-    raise ValueError(f"unhandled statistic {kind!r}")  # pragma: no cover
+    # batch imports this module at load time, so the kernel is imported here
+    from .batch import evaluate_batch
+
+    return int(evaluate_batch([sample.values], (kind,))[kind][0])
 
 
 def _cycle_maxima(k: int) -> tuple[int, int, int]:

@@ -1,15 +1,19 @@
-"""Self-checks of the exact cross-statistic identities on random inputs.
+"""Self-checks of the evaluation kernel against its defining computations.
 
 These are the internal consistency guarantees the package leans on:
 
-  * the convolution form of PA equals full enumeration, integer-exact;
+  * the kernel's PA (a per-cell convolution) equals full enumeration,
+    integer-exact, as do its PN and PS;
   * PN equals n^(k-2) * J;
   * PS equals ps_offset(k, n) - 2 * n^(k-2) * Wstar;
   * for k = 2 the randomized PN, PA and PS tests decide identically on
     every sample when they share the boundary draw;
   * every statistic is invariant under strictly increasing transforms.
 
-`run_verification` exercises all of them on seeded random samples and
+`run_verification` exercises all of them on seeded random samples,
+evaluating through `statistics.evaluate` (a call into the one kernel)
+and comparing with `statistics.brute_force_perm_all` (the n^k
+enumeration), and
 reports per-check pass/fail; the CLI `verify` subcommand wraps it.
 """
 
@@ -20,16 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nulldist import critical_value, exact_null_distribution
-from .sample import RssSample, compute_ranks, monotone_transform
+from .sample import RssSample, monotone_transform
 from .statistics import (
     ALL_KINDS,
+    PERM_KINDS,
     StatisticKind,
     brute_force_perm_all,
     evaluate,
-    fast_pa,
-    j_statistic,
     ps_offset,
-    w_star,
 )
 from .streams import substream
 
@@ -91,14 +93,16 @@ def run_verification(
     bad = 0
     for idx, s in enumerate(samples):
         pn, pa, ps = brute_force_perm_all(s)
-        fpa = fast_pa(s)
+        kernel_pn, kernel_pa, kernel_ps = (evaluate(s, kind) for kind in PERM_KINDS)
         if corrupt and idx == 0:
-            fpa += 1
-        if fpa != pa:
+            kernel_pa += 1
+        j, wstar = evaluate(s, StatisticKind.J), evaluate(s, StatisticKind.WSTAR)
+        scale = s.n ** (s.k - 2)
+        if kernel_pa != pa:
             bad += 1
-        if pn != s.n ** (s.k - 2) * j_statistic(s):
+        if not pn == kernel_pn == scale * j:
             bad += 1
-        if ps != ps_offset(s.k, s.n) - 2 * s.n ** (s.k - 2) * w_star(compute_ranks(s)):
+        if not ps == kernel_ps == ps_offset(s.k, s.n) - 2 * scale * wstar:
             bad += 1
     checks.append(
         CheckResult(

@@ -23,21 +23,17 @@ from rsstest import (
     PowerTable,
     StatisticKind,
     brute_force_perm_all,
-    compute_ranks,
     critical_value,
     estimate_power,
     evaluate,
     exact_distributions,
     exact_null_distribution,
-    fast_pa,
     format_probability,
-    j_statistic,
     mc_null_distributions,
     monotone_transform,
     ps_offset,
     run_test,
     substream,
-    w_star,
 )
 from rsstest.batch import evaluate_batch
 from rsstest.models import ImperfectModel, draw_cells
@@ -162,7 +158,7 @@ def test_criterion_3_pa_convolution_identity(instance_set):
     with criterion(3, "convolution PA equals enumerated PA on 200 samples"):
         for s in instance_set:
             _, pa, _ = brute_force_perm_all(s)
-            assert fast_pa(s) == pa
+            assert evaluate(s, K.PA) == pa
 
 
 def test_criterion_4_equivalence_identities(instance_set):
@@ -174,12 +170,12 @@ def test_criterion_4_equivalence_identities(instance_set):
                 for _ in range(3):
                     s = random_sample(rng, k, n)
                     _, _, ps = brute_force_perm_all(s)
-                    assert ps == ps_offset(k, n) - 2 * n ** (k - 2) * w_star(compute_ranks(s))
+                    assert ps == ps_offset(k, n) - 2 * n ** (k - 2) * evaluate(s, K.WSTAR)
         for s in instance_set:
             pn, _, ps = brute_force_perm_all(s)
             k, n = s.k, s.n
-            assert pn == n ** (k - 2) * j_statistic(s)
-            assert ps == ps_offset(k, n) - 2 * n ** (k - 2) * w_star(compute_ranks(s))
+            assert pn == evaluate(s, K.PN) == n ** (k - 2) * evaluate(s, K.J)
+            assert ps == evaluate(s, K.PS) == ps_offset(k, n) - 2 * n ** (k - 2) * evaluate(s, K.WSTAR)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ from rsstest import (
     Decision,
     DistributionMismatchError,
     ExactEngineCapError,
+    GeneratorConfig,
+    ImperfectModel,
     NullDistribution,
     Provenance,
     StatisticKind,
@@ -21,11 +23,11 @@ from rsstest import (
     exact_distributions,
     exact_null_distribution,
     exact_route,
+    generate,
     mc_null_distribution,
     mc_null_distributions,
     null_distributions_for,
     run_test,
-    simulate_null_sample,
     substream,
 )
 
@@ -255,15 +257,13 @@ def test_randomized_test_has_exact_size():
 
 
 def test_simulate_null_sample_deterministic():
-    a = simulate_null_sample(3, 2, substream(5, 0))
-    b = simulate_null_sample(3, 2, substream(5, 0))
-    assert a == b
+    cfg = GeneratorConfig(3, 2, ImperfectModel("perfect"))
+    assert generate(cfg, substream(5, 0)) == generate(cfg, substream(5, 0))
 
 
 def test_simulate_null_sample_single_slot_uniform():
     # k = 1: each cell is just a uniform draw
-    rng = substream(5, 0)
-    s = simulate_null_sample(1, 50, rng)
+    s = generate(GeneratorConfig(1, 50, ImperfectModel("perfect")), substream(5, 0))
     assert s.k == 1 and s.n == 50
     assert all(0 <= v <= 1 for v in s.row(1))
 

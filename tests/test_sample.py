@@ -1,22 +1,27 @@
-"""Sample ingestion, ranking and proportion counts."""
+"""Sample ingestion and transforms; ranks and proportion counts as the
+statistics see them."""
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 import pytest
 
 from rsstest import (
+    ALL_KINDS,
     DataValidationError,
     RssSample,
+    StatisticKind,
     TieError,
-    column_proportions,
-    compute_ranks,
+    brute_force_perm_all,
+    evaluate,
     monotone_transform,
     parse_csv,
+    statistic_range,
 )
+from rsstest.statistics import tuple_discrepancies
 
 from conftest import make_sample, random_sample
+
+K = StatisticKind
 
 
 # ---------------------------------------------------------------------------
@@ -81,79 +86,77 @@ def test_sample_rejects_non_finite():
 
 
 # ---------------------------------------------------------------------------
-# compute_ranks
+# within-cycle and overall ranks
 # ---------------------------------------------------------------------------
 
 
 def test_ranks_sorted_cycle():
-    info = compute_ranks(make_sample([[10], [20], [30]]))
-    assert [info.within_cycle[i][0] for i in range(3)] == [1, 2, 3]
+    # within-cycle and overall ranks are both (1, 2, 3)
+    s = make_sample([[10], [20], [30]])
+    assert evaluate(s, K.A_SUM) == 0
+    assert evaluate(s, K.WSTAR) == 1 * 1 + 2 * 2 + 3 * 3 == statistic_range(K.WSTAR, 3, 1)[1]
 
 
 def test_ranks_reversed_cycle():
-    info = compute_ranks(make_sample([[30], [20], [10]]))
-    assert [info.within_cycle[i][0] for i in range(3)] == [3, 2, 1]
+    # within-cycle and overall ranks are both (3, 2, 1)
+    s = make_sample([[30], [20], [10]])
+    assert evaluate(s, K.S_SUM) == 2**2 + 0 + 2**2
+    assert evaluate(s, K.WSTAR) == 1 * 3 + 2 * 2 + 3 * 1 == statistic_range(K.WSTAR, 3, 1)[0]
 
 
 def test_ranks_overall_and_counts():
-    # values [[1,2],[4,3]]: overall ranks [[1,2],[4,3]], c_{1,1}=0, c_{1,2}=1
-    info = compute_ranks(make_sample([[1, 2], [4, 3]]))
-    assert info.overall == ((1, 2), (4, 3))
-    assert info.column_counts[0] == (0, 1)
+    # values [[1,2],[4,3]]: overall ranks [[1,2],[4,3]]; each slot's own
+    # counts below are (0, 1), summing to n(n-1)/2 as ps_offset assumes
+    s = make_sample([[1, 2], [4, 3]])
+    assert evaluate(s, K.WSTAR) == 1 * (1 + 2) + 2 * (4 + 3)
+    assert evaluate(s, K.PS) == brute_force_perm_all(s)[2] == 0
 
 
 @pytest.mark.parametrize("k,n", [(2, 2), (3, 4), (5, 3)])
 def test_rank_invariants(rng, k, n):
     s = random_sample(rng, k, n)
-    info = compute_ranks(s)
-    for l in range(n):
-        assert sorted(info.within_cycle[i][l] for i in range(k)) == list(range(1, k + 1))
-    flat = sorted(info.overall[i][l] for i in range(k) for l in range(n))
-    assert flat == list(range(1, k * n + 1))
-    for i in range(k):
-        assert sorted(info.column_counts[i]) == list(range(n))
-        # sum identity used by the affine relation with Wstar
-        assert sum(info.column_counts[i]) == n * (n - 1) // 2
-    # rank order mirrors value order within each cycle and overall
-    for l in range(n):
-        for a in range(k):
-            for b in range(k):
-                assert (s.values[a][l] < s.values[b][l]) == (
-                    info.within_cycle[a][l] < info.within_cycle[b][l]
-                )
+    # within-cycle ranks are a permutation of 1..k, mirroring value order
+    for l in range(1, n + 1):
+        one_cycle = make_sample([[v] for v in s.cycle(l)])
+        per_cycle = tuple(evaluate(one_cycle, kind) for kind in (K.N_SUM, K.A_SUM, K.S_SUM))
+        assert per_cycle == tuple_discrepancies(s.cycle(l))
+        assert per_cycle[1] % 2 == 0 and per_cycle[2] % 2 == 0  # sum(R_i - i) = 0
+    # overall ranks are a permutation of 1..kn in value order
+    cells = sorted(range(k * n), key=lambda c: s.values[c // n][c % n])
+    assert evaluate(s, K.WSTAR) == sum((c // n + 1) * r for r, c in enumerate(cells, start=1))
+    # per-slot counts below each cell sum to n(n-1)/2 in every slot
+    assert evaluate(s, K.PS) == brute_force_perm_all(s)[2]
 
 
 # ---------------------------------------------------------------------------
-# column_proportions
+# counts of each slot below every cell (PA and J)
 # ---------------------------------------------------------------------------
 
 
 def test_proportions_dominance():
     s = make_sample([[1, 2], [10, 20]])
-    props = column_proportions(s)
-    assert props.p(1, 2, 1) == 1  # slot 1 entirely below cell (2, 1)
-    assert props.p(2, 1, 1) == 0  # slot 2 entirely above cell (1, 1)
+    assert evaluate(s, K.PA) == evaluate(s, K.J) == 0  # slot 1 entirely below slot 2
+    flipped = make_sample([[10, 20], [1, 2]])
+    assert evaluate(flipped, K.PA) == statistic_range(K.PA, 2, 2)[1]
+    assert evaluate(flipped, K.J) == statistic_range(K.J, 2, 2)[1]
 
 
 def test_proportions_example():
-    props = column_proportions(make_sample([[1, 2], [4, 3]]))
-    assert props.p(2, 1, 1) == 0  # none of {4, 3} is below 1
-    assert props.p(2, 1, 2) == 0
-    assert props.p(1, 2, 1) == 1
+    s = make_sample([[1, 2], [4, 3]])  # none of {4, 3} is below 1 or 2
+    assert evaluate(s, K.PA) == evaluate(s, K.J) == 0
 
 
 @pytest.mark.parametrize("k,n", [(3, 3), (4, 2), (2, 5)])
 def test_proportions_match_exhaustive_count(rng, k, n):
     s = random_sample(rng, k, n)
-    props = column_proportions(s)
-    for i in range(1, k + 1):
-        for j in range(1, k + 1):
-            for l in range(1, n + 1):
-                count = sum(
-                    1 for l2 in range(1, n + 1) if s.row(i)[l2 - 1] < s.row(j)[l - 1]
-                )
-                assert props.p(i, j, l) == Fraction(count, n)
-                assert 0 <= props.p(i, j, l) <= 1
+
+    def above(i, j, l):  # slot-i values above cell (j, l), counted one by one
+        return sum(1 for v in s.row(i) if v > s.row(j)[l - 1])
+
+    assert evaluate(s, K.J) == sum(
+        above(i, j, l) for i in range(1, k) for j in range(i + 1, k + 1) for l in range(1, n + 1)
+    )
+    assert evaluate(s, K.PA) == brute_force_perm_all(s)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +173,8 @@ def test_transform_identity():
 def test_transform_preserves_ranks(rng, f):
     values = rng.random((3, 4)) - 0.5  # include negatives for the cube
     s = make_sample(values)
-    assert compute_ranks(monotone_transform(s, f)) == compute_ranks(s)
+    t = monotone_transform(s, f)
+    assert [evaluate(t, kind) for kind in ALL_KINDS] == [evaluate(s, kind) for kind in ALL_KINDS]
 
 
 def test_transform_producing_ties_rejected():

@@ -8,26 +8,57 @@ import pytest
 from rsstest import (
     ALL_KINDS,
     EnumerationBudgetError,
+    ImperfectModel,
+    NullSource,
+    PowerStudy,
     RssSample,
     StatisticKind,
-    aggregate,
     brute_force_perm_all,
-    brute_force_perm_stat,
-    compute_ranks,
+    draw_cells,
+    estimate_power,
     evaluate,
-    fast_pa,
     is_lower_tail,
-    j_statistic,
+    mc_null_distributions,
     monotone_transform,
-    per_cycle_stats,
     ps_offset,
     statistic_range,
-    w_star,
+    substream,
 )
+from rsstest.batch import evaluate_batch
+from rsstest.mc import CHUNK_SIZE
+from rsstest.statistics import MAX_KINDS, SUM_KINDS, tuple_discrepancies
+from rsstest.streams import NULL_STREAM_BASE
 
 from conftest import make_sample, random_sample
 
 K = StatisticKind
+CYCLE_KINDS = SUM_KINDS + MAX_KINDS
+
+
+def cycle_oracle(s: RssSample, kind: StatisticKind) -> int:
+    """A per-cycle sum or maximum from `tuple_discrepancies`, cycle by cycle."""
+    idx = "NAS".index(kind.value[0])
+    series = [tuple_discrepancies(s.cycle(l))[idx] for l in range(1, s.n + 1)]
+    return sum(series) if kind in SUM_KINDS else max(series)
+
+
+def j_oracle(s: RssSample) -> int:
+    """J from its definition: pairs (slot i below slot j) in the wrong order."""
+    rows = s.values
+    return sum(
+        1
+        for i in range(s.k - 1)
+        for j in range(i + 1, s.k)
+        for a in rows[i]
+        for b in rows[j]
+        if a > b
+    )
+
+
+def wstar_oracle(s: RssSample) -> int:
+    """Wstar from its definition: slot index times overall rank, summed."""
+    order = sorted((v, i) for i, row in enumerate(s.values) for v in row)
+    return sum((i + 1) * rank for rank, (_, i) in enumerate(order, start=1))
 
 
 # ---------------------------------------------------------------------------
@@ -37,56 +68,59 @@ K = StatisticKind
 
 def test_per_cycle_perfect_order_is_zero():
     s = make_sample([[1], [2], [3], [4]])
-    assert per_cycle_stats(compute_ranks(s), 1) == (0, 0, 0)
+    assert tuple_discrepancies(s.cycle(1)) == (0, 0, 0)
+    assert [evaluate(s, kind) for kind in CYCLE_KINDS] == [0] * 6
 
 
 def test_per_cycle_reversed_k3():
     # ranks (3,2,1): three violated pairs, |dev| = 2+0+2, squares = 4+0+4
     s = make_sample([[30], [20], [10]])
-    assert per_cycle_stats(compute_ranks(s), 1) == (3, 4, 8)
+    assert tuple_discrepancies(s.cycle(1)) == (3, 4, 8)
+    assert [evaluate(s, kind) for kind in SUM_KINDS] == [3, 4, 8]
 
 
 def test_per_cycle_single_inversion_k2():
     s = make_sample([[2], [1]])
-    assert per_cycle_stats(compute_ranks(s), 1) == (1, 2, 2)
+    assert tuple_discrepancies(s.cycle(1)) == (1, 2, 2)
+    assert [evaluate(s, kind) for kind in MAX_KINDS] == [1, 2, 2]
 
 
 def test_per_cycle_bad_index():
     s = make_sample([[1], [2]])
-    with pytest.raises(ValueError):
-        per_cycle_stats(compute_ranks(s), 2)
+    for l in (0, 2):
+        with pytest.raises(ValueError, match="cycle index"):
+            s.cycle(l)
 
 
 def test_aggregate_perfect_sample_zero():
     s = make_sample([[1, 5], [2, 6], [3, 7]])
-    info = compute_ranks(s)
     for kind in (K.N_SUM, K.A_SUM, K.S_SUM):
-        assert aggregate(info, kind) == 0
+        assert evaluate(s, kind) == 0
 
 
 def test_aggregate_sum_and_max():
     # cycle 1 = (3,2) inverted -> A=2; cycle 2 = (1,4) sorted -> A=0
     s = make_sample([[3, 1], [2, 4]])
-    info = compute_ranks(s)
-    assert aggregate(info, K.A_SUM) == 2
-    assert aggregate(info, K.A_MAX) == 2
+    assert evaluate(s, K.A_SUM) == 2
+    assert evaluate(s, K.A_MAX) == 2
 
 
 def test_aggregate_single_cycle_sum_equals_max(rng):
     s = random_sample(rng, 4, 1)
-    info = compute_ranks(s)
-    for sum_kind, max_kind in [(K.N_SUM, K.N_MAX), (K.A_SUM, K.A_MAX), (K.S_SUM, K.S_MAX)]:
-        assert aggregate(info, sum_kind) == aggregate(info, max_kind)
+    for sum_kind, max_kind in zip(SUM_KINDS, MAX_KINDS):
+        assert evaluate(s, sum_kind) == evaluate(s, max_kind)
 
 
 def test_aggregate_rejects_other_tags():
     s = make_sample([[1], [2]])
     with pytest.raises(ValueError):
-        aggregate(compute_ranks(s), K.PA)
+        evaluate(s, "N_mean")
+    with pytest.raises(ValueError):
+        evaluate_batch(np.array([[[1.0], [2.0]]]), ["N_mean"])
 
 
 # ---------------------------------------------------------------------------
-# recombination statistics: brute force, fast PA, J, Wstar
+# recombination statistics, J and Wstar: hand values and brute force
 # ---------------------------------------------------------------------------
 
 
@@ -98,43 +132,37 @@ def test_brute_force_nested_sample_is_zero():
 def test_brute_force_hand_enumeration():
     # recombinations of [[5,2],[4,3]]: (5,4),(5,3) inverted, (2,4),(2,3) sorted
     s = make_sample([[5, 2], [4, 3]])
-    assert brute_force_perm_stat(s, K.PN) == 2
-    assert brute_force_perm_stat(s, K.PA) == 4
-    assert brute_force_perm_stat(s, K.PS) == 4
+    assert brute_force_perm_all(s) == (2, 4, 4)
+    assert (evaluate(s, K.PN), evaluate(s, K.PA), evaluate(s, K.PS)) == (2, 4, 4)
 
 
 def test_brute_force_budget_refusal():
     s = make_sample([[i * 10 + l for l in range(5)] for i in range(5)])
-    with pytest.raises(EnumerationBudgetError, match="fast_pa"):
+    with pytest.raises(EnumerationBudgetError, match="evaluate"):
         brute_force_perm_all(s, budget=1000)
 
 
-def test_brute_force_rejects_non_perm_tags():
-    with pytest.raises(ValueError):
-        brute_force_perm_stat(make_sample([[1], [2]]), K.J)
-
-
 def test_fast_pa_hand_value():
-    assert fast_pa(make_sample([[5, 2], [4, 3]])) == 4
+    assert evaluate(make_sample([[5, 2], [4, 3]]), K.PA) == 4
 
 
 def test_fast_pa_nested_is_zero():
-    assert fast_pa(make_sample([[1, 2], [4, 3]])) == 0
+    assert evaluate(make_sample([[1, 2], [4, 3]]), K.PA) == 0
 
 
 def test_j_hand_value():
-    assert j_statistic(make_sample([[5, 2], [4, 3]])) == 2
+    assert evaluate(make_sample([[5, 2], [4, 3]]), K.J) == 2
 
 
 def test_w_star_single_slot():
     # one slot: overall ranks are 1..n, so Wstar = n(n+1)/2
     s = RssSample(((0.3, 0.1, 0.7, 0.5),))
-    assert w_star(compute_ranks(s)) == 10
+    assert evaluate(s, K.WSTAR) == 10
 
 
 def test_w_star_hand_value():
     s = make_sample([[1], [2]])
-    assert w_star(compute_ranks(s)) == 1 * 1 + 2 * 2
+    assert evaluate(s, K.WSTAR) == 1 * 1 + 2 * 2
 
 
 @pytest.mark.parametrize("k,n", [(2, 1), (2, 3), (3, 2), (4, 3), (5, 2), (3, 5)])
@@ -142,9 +170,9 @@ def test_fast_paths_match_brute_force(rng, k, n):
     for _ in range(5):
         s = random_sample(rng, k, n)
         pn, pa, ps = brute_force_perm_all(s)
-        assert fast_pa(s) == pa
-        assert n ** (k - 2) * j_statistic(s) == pn
-        assert ps_offset(k, n) - 2 * n ** (k - 2) * w_star(compute_ranks(s)) == ps
+        assert evaluate(s, K.PA) == pa
+        assert evaluate(s, K.PN) == n ** (k - 2) * evaluate(s, K.J) == pn
+        assert evaluate(s, K.PS) == ps_offset(k, n) - 2 * n ** (k - 2) * evaluate(s, K.WSTAR) == ps
 
 
 def test_ps_offset_requires_k2():
@@ -159,15 +187,15 @@ def test_ps_offset_requires_k2():
 
 def test_evaluate_matches_each_route(rng):
     s = random_sample(rng, 4, 3)
-    info = compute_ranks(s)
-    assert evaluate(s, K.A_SUM) == aggregate(info, K.A_SUM)
-    assert evaluate(s, K.N_MAX) == aggregate(info, K.N_MAX)
-    assert evaluate(s, K.J) == j_statistic(s)
-    assert evaluate(s, K.WSTAR) == w_star(info)
+    for kind in CYCLE_KINDS:
+        assert evaluate(s, kind) == cycle_oracle(s, kind)
+    assert evaluate(s, K.J) == j_oracle(s)
+    assert evaluate(s, K.WSTAR) == wstar_oracle(s)
     pn, pa, ps = brute_force_perm_all(s)
     assert evaluate(s, K.PN) == pn
     assert evaluate(s, K.PA) == pa
     assert evaluate(s, K.PS) == ps
+    assert all(type(evaluate(s, kind)) is int for kind in ALL_KINDS)
 
 
 def test_single_cycle_collapse(rng):
@@ -210,9 +238,8 @@ def test_values_within_ranges(rng):
         for kind in ALL_KINDS:
             lo, hi = statistic_range(kind, k, n)
             assert lo <= evaluate(s, kind) <= hi
-        info = compute_ranks(s)
         for l in range(1, n + 1):
-            dn, da, ds = per_cycle_stats(info, l)
+            dn, da, ds = tuple_discrepancies(s.cycle(l))
             assert 0 <= dn <= k * (k - 1) // 2
             assert 0 <= da <= k * k // 2
             assert 0 <= ds <= k * (k * k - 1) // 3
@@ -228,3 +255,90 @@ def test_from_tag_round_trip_and_error():
         assert StatisticKind.from_tag(kind.value) is kind
     with pytest.raises(ValueError, match="unknown statistic"):
         StatisticKind.from_tag("PB")
+
+
+# ---------------------------------------------------------------------------
+# wide grids: past int64 the kernel computes in Python ints, exactly
+# ---------------------------------------------------------------------------
+
+
+def check_closed_forms(cells: np.ndarray) -> None:
+    """Every sample of a (B, k, n) batch against the from-definition oracles:
+    per-cycle kinds via `tuple_discrepancies`, J and Wstar directly, and
+    PN and PS through their identities, all in Python ints."""
+    _, k, n = cells.shape
+    got = evaluate_batch(cells, ALL_KINDS)
+    for b, sample_cells in enumerate(cells):
+        s = make_sample(sample_cells)
+        want = {kind: cycle_oracle(s, kind) for kind in CYCLE_KINDS}
+        want[K.J] = j_oracle(s)
+        want[K.WSTAR] = wstar_oracle(s)
+        want[K.PN] = n ** (k - 2) * want[K.J]
+        want[K.PS] = ps_offset(k, n) - 2 * n ** (k - 2) * want[K.WSTAR]
+        for kind, value in want.items():
+            assert got[kind][b] == value, kind
+        lo, hi = statistic_range(K.PA, k, n)
+        assert lo <= got[K.PA][b] <= hi
+
+
+def test_wide_grid_extremes_reach_range_bounds():
+    k, n = 12, 30
+    nested = np.arange(k * n, dtype=float).reshape(k, n)
+    reversed_ = nested[::-1].copy()
+    batch = evaluate_batch(np.stack([nested, reversed_]), ALL_KINDS)
+    for kind in ALL_KINDS:
+        lo, hi = statistic_range(kind, k, n)
+        low_end, high_end = (hi, lo) if is_lower_tail(kind) else (lo, hi)
+        assert batch[kind].tolist() == [low_end, high_end], kind
+        assert evaluate(make_sample(nested), kind) == low_end, kind
+        assert evaluate(make_sample(reversed_), kind) == high_end, kind
+    assert statistic_range(K.PA, k, n)[1] > np.iinfo(np.int64).max
+
+
+def test_wide_grid_random_samples_match_definitions():
+    check_closed_forms(np.random.default_rng(12).random((2, 12, 30)))
+
+
+def test_wide_grid_recombination_sums_against_enumeration():
+    # slots 1 and 2 interleave at random and every other slot lies above
+    # both, in slot order: each recombination's discrepancies come from its
+    # first two values alone, so each sum is n^(k-2) times the enumerated
+    # sum of those two rows
+    k, n = 12, 30
+    cells = np.arange(k * n, dtype=float).reshape(k, n)
+    cells[:2] = np.random.default_rng(30).permutation(2 * n).reshape(2, n)
+    got = [evaluate(make_sample(cells), kind) for kind in (K.PN, K.PA, K.PS)]
+    assert got == [n ** (k - 2) * v for v in brute_force_perm_all(make_sample(cells[:2]))]
+
+
+def test_closed_forms_either_side_of_the_int64_boundary():
+    # for k = 12, n = 21 is the largest grid whose scaled values fit int64
+    rng = np.random.default_rng(21)
+    for n, dtype in ((21, np.int64), (22, object)):
+        cells = rng.random((2, 12, n))
+        assert evaluate_batch(cells, [K.PA])[K.PA].dtype == dtype
+        check_closed_forms(cells)
+
+
+def test_wide_grid_mc_null_matches_evaluate():
+    k, n, reps, seed = 12, 30, 16, 1
+    kinds = (K.PA, K.PN, K.PS)
+    dists = mc_null_distributions(kinds, k, n, reps=reps, seed=seed)
+    rng = substream(seed, NULL_STREAM_BASE)
+    cells = draw_cells(ImperfectModel("perfect"), "uniform", k, n, CHUNK_SIZE, rng)[:reps]
+    for kind in kinds:
+        values = sorted(evaluate(make_sample(c), kind) for c in cells)
+        support = sorted(set(values))
+        assert dists[kind].support == tuple(support)
+        assert [p * reps for p in dists[kind].probs] == [values.count(v) for v in support]
+
+
+def test_wide_grid_power_runs():
+    study = PowerStudy(
+        k=12, n=30, kinds=(K.PA, K.PN, K.PS), model_tag="neighbor",
+        lambda_grid=(0.5,), alpha="0.05", reps=8, seed=5,
+        null=NullSource(method="monte-carlo", reps=16),
+    )
+    table = estimate_power(study)
+    assert [cell.reps for cell in table.cells] == [8, 8, 8]
+    assert all(0 <= cell.rejections <= 8 for cell in table.cells)

@@ -118,7 +118,7 @@ def build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", type=Path, default=None, help="key=value defaults file")
     common.add_argument("--output", type=Path, default=None, help="write the result here instead of stdout")
-    common.add_argument("--threads", type=int, default=None, help="worker threads (never changes results)")
+    common.add_argument("--threads", type=_positive_int, default=None, help="worker threads (never changes results)")
 
     p_test = sub.add_parser("test", parents=[common], help="test perfect ranking on a CSV sample")
     p_test.add_argument("data", type=Path, help="CSV file of measurements")
@@ -164,7 +164,7 @@ def build_parser() -> _Parser:
 
     p_verify = sub.add_parser("verify", parents=[common], help="run the identity self-checks")
     p_verify.add_argument("--seed", type=int, default=None, help="seed for the random instances (default 0)")
-    p_verify.add_argument("--instances", type=int, default=None, help="number of random samples (default 200)")
+    p_verify.add_argument("--instances", type=_positive_int, default=None, help="number of random samples (default 200)")
     p_verify.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
 
     return parser

@@ -3,44 +3,55 @@
 Under perfect ranking the k*n cells are independent, cell (i, l) being
 the i-th order statistic of k standard uniforms, and every statistic
 here depends on the cells only through their relative order.  The engine
-therefore enumerates interleavings and integrates the product of
-order-statistic densities over the ordered region, exactly.
+integrates the product of order-statistic densities over the ordered
+region exactly, with one dynamic program over the cells from smallest to
+largest.  Its state is (c, partial statistic), c counting the cells of
+each slot placed so far: cells of a slot are i.i.d., and J, Wstar and PA
+are sums over cells of an integer that depends only on the cell's slot s
+and the counts c below it,
 
-Two reductions keep that tractable:
+  J      sum_{i>s} c_i                 (higher-slot cells it lies above)
+  Wstar  (s+1) * (sum c + 1)           (slot weight times overall rank)
+  PA     n^(k-1) * E|1 + sum_{i!=s} Bernoulli(c_i/n) - (s+1)|
 
-* Cells of the same rank slot are i.i.d., so the ordering probability
-  depends only on the "word" of slot indices read from smallest cell to
-  largest.  The engine walks the (kn)! / (n!)^k distinct words depth-first,
-  sharing every common prefix's partial integral.
-* Integrals stay in integers: polynomials are carried in the t^d/d!
-  basis, where multiplying by an integer-coefficient density keeps
-  integer coefficients (via falling factorials) and integrating from 0
-  to t is a pure index shift.  Division happens once per word, giving
-  the word probability as an exact rational with denominator (k^2 n)!.
+(the last is the cell's share of PA: its rank in a random recombination
+is 1 plus one Bernoulli per other slot, the convolution of `batch`).
+Integration is linear, so the partial integrals of all prefixes reaching
+a state are summed.  They stay in integers: polynomials are carried in
+the t^d/d! basis, where multiplying by an integer-coefficient density
+keeps integer coefficients (via falling factorials) and integrating from
+0 to t is a pure index shift.  At the full state (n, ..., n) each
+probability is (n!)^k * sum_d a_d (k^2 n)!/d! over (k^2 n)!.
 
-Per word, one pass over the n^k slot recombinations yields PN/PA/PS and
-a lookup table from which every cycle-labelled statistic (the sums and
-maxima) is accumulated over the (n!)^(k-1) distinct cycle assignments.
+The other eight statistics follow from these three pmfs: PN = n^(k-2) J
+and PS = ps_offset - 2 n^(k-2) Wstar (both 0 for k = 1); the per-cycle
+N, A and S are PN, PA and PS of the k x 1 grid, and as the n cycles are
+i.i.d., each *_sum pmf is the n-fold convolution of the per-cycle pmf and
+each *_max pmf is F(v)^n - F(v-)^n.
 
-Cost grows factorially; the engine refuses grids above `max_cells`
-(kn <= 8 by default, kn <= 10 as an explicit opt-in, never more) and
-points callers at the Monte Carlo engine instead.
+The engine refuses grids above `max_cells` (kn <= 8 by default, kn <= 10
+as an explicit opt-in, never more) and points callers at the Monte Carlo
+engine instead.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping
+from typing import Callable, Mapping
+
+import numpy as np
 
 from .errors import ExactEngineCapError
-from .statistics import ALL_KINDS, StatisticKind, tuple_discrepancies
+from .statistics import StatisticKind, ps_offset
 
 DEFAULT_EXACT_CELL_CAP = 8
 OPT_IN_EXACT_CELL_CAP = 10
+
+K = StatisticKind
+Pmf = Mapping[int, Fraction]
 
 
 def exact_distributions(
@@ -56,154 +67,132 @@ def exact_distributions(
             f"cap of {cap} (max_cells opts in up to {OPT_IN_EXACT_CELL_CAP}; beyond "
             "that use mc_null_distribution)"
         )
-    hists = _exact_histograms(k, n)
-    denom = math.factorial(k * k * n)
-    return {
-        kind: {value: Fraction(num, denom) for value, num in sorted(hist.items())}
-        for kind, hist in hists.items()
-    }
-
-
-def _densities(k: int) -> list[list[int]]:
-    """Integer coefficients of each slot's order-statistic density.
-
-    Slot i has density k*C(k-1, i-1) * t^(i-1) * (1-t)^(k-i), a degree
-    k-1 polynomial with integer coefficients.
-    """
-    dens = []
-    for i in range(1, k + 1):
-        lead = k * math.comb(k - 1, i - 1)
-        coeffs = [0] * k
-        for m in range(k - i + 1):
-            coeffs[i - 1 + m] = lead * math.comb(k - i, m) * (-1) ** m
-        dens.append(coeffs)
-    return dens
-
-
-def _enumerate_words(k: int, n: int, visit) -> None:
-    """Call visit(word, numerator) per slot word; prob = numerator/(k^2 n)!."""
-    dens = _densities(k)
-    top_degree = k * k * n
-    # falling[m][e] = m! / (m-e)!; factor_to_top[d] = (k^2 n)! / d!
-    falling = [[1] * k for _ in range(top_degree + 1)]
-    for m in range(top_degree + 1):
-        acc = 1
-        for e in range(1, k):
-            acc *= max(m - e + 1, 0)
-            falling[m][e] = acc
-    factor_to_top = [0] * (top_degree + 1)
-    factor_to_top[top_degree] = 1
-    for d in range(top_degree - 1, -1, -1):
-        factor_to_top[d] = factor_to_top[d + 1] * (d + 1)
-
-    counts = [0] * k
-    word: list[int] = []
-
-    def descend(poly: list[int]) -> None:
-        if len(word) == k * n:
-            numer = sum(a * factor_to_top[d] for d, a in enumerate(poly) if a)
-            visit(tuple(word), numer)
-            return
-        for slot in range(k):
-            if counts[slot] == n:
-                continue
-            coeffs = dens[slot]
-            grown = [0] * (len(poly) + k)  # multiply by slot density, integrate
-            for e, ce in enumerate(coeffs):
-                if not ce:
-                    continue
-                for d, ad in enumerate(poly):
-                    if not ad:
-                        continue
-                    m = d + e
-                    grown[m + 1] += ad * ce * falling[m][e]
-            counts[slot] += 1
-            word.append(slot)
-            descend(grown)
-            counts[slot] -= 1
-            word.pop()
-
-    descend([1])
+    return {kind: dict(pmf) for kind, pmf in _exact_pmfs(k, n).items()}
 
 
 @lru_cache(maxsize=None)
-def _exact_histograms(k: int, n: int) -> Mapping[StatisticKind, Mapping[int, int]]:
-    hists: dict[StatisticKind, dict[int, int]] = {
-        kind: defaultdict(int) for kind in ALL_KINDS
-    }
-    n_fact = math.factorial(n)
-    word_weight = n_fact**k  # orderings per word
-    label_weight = n_fact  # orderings per canonical cycle assignment
-    perms = list(itertools.permutations(range(n)))
-    radix = [n ** (k - 1 - i) for i in range(k)]
-    pairs = [(i, j) for i in range(k - 1) for j in range(i + 1, k)]
-    total = 0
+def _exact_pmfs(k: int, n: int) -> Mapping[StatisticKind, Pmf]:
+    pmfs = {K.J: _count_dp(k, n, K.J), K.WSTAR: _count_dp(k, n, K.WSTAR)}
+    pmfs[K.PN], pmfs[K.PA], pmfs[K.PS] = _perm_pmfs(k, n)
+    for tag, cycle in zip("NAS", _perm_pmfs(k, 1)):
+        pmfs[K(f"{tag}_sum")] = _sum_of_iid(cycle, n)
+        pmfs[K(f"{tag}_max")] = _max_of_iid(cycle, n)
+    return {kind: pmfs[kind] for kind in K}
 
-    def visit(word: tuple[int, ...], numer: int) -> None:
-        nonlocal total
-        total += numer * word_weight
-        positions: list[list[int]] = [[] for _ in range(k)]
-        for where, slot in enumerate(word):
-            positions[slot].append(where + 1)
 
-        # One pass over the n^k recombinations: their discrepancy sums are
-        # PN/PA/PS, and the per-recombination table feeds the cycle
-        # statistics below.
-        pn = pa = ps = 0
-        table: list[tuple[int, int, int]] = []
-        for combo in itertools.product(range(n), repeat=k):
-            vals = tuple(positions[i][combo[i]] for i in range(k))
-            d = tuple_discrepancies(vals)
-            table.append(d)
-            pn += d[0]
-            pa += d[1]
-            ps += d[2]
-        hists[StatisticKind.PN][pn] += numer * word_weight
-        hists[StatisticKind.PA][pa] += numer * word_weight
-        hists[StatisticKind.PS][ps] += numer * word_weight
+def _perm_pmfs(k: int, n: int) -> tuple[Pmf, Pmf, Pmf]:
+    """PN, PA and PS pmfs, the first and last pushed forward from J and Wstar."""
+    pa = _count_dp(k, n, K.PA)
+    if k == 1:  # every recombined sample is sorted
+        return {0: Fraction(1)}, pa, {0: Fraction(1)}
+    scale, offset = n ** (k - 2), ps_offset(k, n)
+    pn = {scale * v: p for v, p in _count_dp(k, n, K.J).items()}
+    ps = {offset - 2 * scale * v: p for v, p in _count_dp(k, n, K.WSTAR).items()}
+    return pn, pa, dict(sorted(ps.items()))
 
-        j_stat = sum(
-            1
-            for i, j in pairs
-            for a in positions[i]
-            for b2 in positions[j]
-            if a > b2
+
+def _sum_of_iid(pmf: Pmf, n: int) -> Pmf:
+    out: Pmf = {0: Fraction(1)}
+    for _ in range(n):
+        acc: dict[int, Fraction] = defaultdict(Fraction)
+        for v, p in out.items():
+            for w, q in pmf.items():
+                acc[v + w] += p * q
+        out = acc
+    return dict(sorted(out.items()))
+
+
+def _max_of_iid(pmf: Pmf, n: int) -> Pmf:
+    out = {}
+    below = cdf = Fraction(0)
+    for v, p in pmf.items():
+        cdf += p
+        out[v] = cdf**n - below**n
+        below = cdf
+    return out
+
+
+def _increment(kind: StatisticKind, k: int, n: int) -> Callable[[int, tuple[int, ...]], int]:
+    """What a slot-s cell with counts c below it adds to J, Wstar or PA."""
+    if kind is K.J:
+        return lambda s, c: sum(c[s + 1 :])
+    if kind is K.WSTAR:
+        return lambda s, c: (s + 1) * (sum(c) + 1)
+
+    def pa(s: int, c: tuple[int, ...]) -> int:
+        pmf = [1]  # numerators over n^(number of other slots convolved so far)
+        for i in range(k):
+            if i != s:
+                pmf = [a * (n - c[i]) + b * c[i] for a, b in zip(pmf + [0], [0] + pmf)]
+        return sum(p * abs(r - s) for r, p in enumerate(pmf))
+
+    return pa
+
+
+@lru_cache(maxsize=None)
+def _count_dp(k: int, n: int, kind: StatisticKind) -> Pmf:
+    """Exact pmf of J, Wstar or PA on a k x n grid, by the DP over slot counts.
+
+    A layer maps each count vector c of the cells placed so far to
+    (v0, rows): row r holds the summed polynomial of the prefixes with
+    partial statistic v0 + r, as t^d/d! coefficients from degree
+    sum_i (i+1) c_i (below which every term is zero) up.  A state is freed
+    once its successors are built, so at most two layers are alive.
+    """
+    top = k * k * n
+    increment = _increment(kind, k, n)
+    # weight[s][e][d]: what t^d/d! times the t^e term of slot s's density
+    # k C(k-1, s) t^s (1-t)^(k-1-s), integrated, puts on t^(d+e+1)/(d+e+1)!
+    weight = []
+    for s in range(k):
+        lead = k * math.comb(k - 1, s)
+        terms = {e: lead * math.comb(k - 1 - s, e - s) * (-1) ** (e - s) for e in range(s, k)}
+        weight.append(
+            {
+                e: np.array([ce * math.perm(d + e, e) for d in range(top)], dtype=object)
+                for e, ce in terms.items()
+            }
         )
-        w_stat = sum((i + 1) * sum(positions[i]) for i in range(k))
-        hists[StatisticKind.J][j_stat] += numer * word_weight
-        hists[StatisticKind.WSTAR][w_stat] += numer * word_weight
 
-        # Cycle-labelled statistics: quotient out the global relabelling of
-        # cycles by pinning slot 1's assignment, weighting each class by n!.
-        for taus in itertools.product(perms, repeat=k - 1):
-            ns = as_ = ss = nm = am = sm = 0
-            for l in range(n):
-                idx = l * radix[0]
-                for i in range(1, k):
-                    idx += taus[i - 1][l] * radix[i]
-                dn, da, ds = table[idx]
-                ns += dn
-                as_ += da
-                ss += ds
-                if dn > nm:
-                    nm = dn
-                if da > am:
-                    am = da
-                if ds > sm:
-                    sm = ds
-            w = numer * label_weight
-            hists[StatisticKind.N_SUM][ns] += w
-            hists[StatisticKind.A_SUM][as_] += w
-            hists[StatisticKind.S_SUM][ss] += w
-            hists[StatisticKind.N_MAX][nm] += w
-            hists[StatisticKind.A_MAX][am] += w
-            hists[StatisticKind.S_MAX][sm] += w
+    def low(c: tuple[int, ...]) -> int:
+        return sum((i + 1) * ci for i, ci in enumerate(c))
 
-    _enumerate_words(k, n, visit)
+    layer = {(0,) * k: (0, np.ones((1, 1), dtype=object))}
+    for placed in range(1, k * n + 1):
+        sources = defaultdict(list)
+        uses = {}  # successors of each state not yet built
+        for c, (v0, _) in layer.items():
+            slots = [s for s in range(k) if c[s] < n]
+            uses[c] = len(slots)
+            for s in slots:
+                grown = c[:s] + (c[s] + 1,) + c[s + 1 :]
+                sources[grown].append((s, c, v0 + increment(s, c)))
+        nxt = {}
+        for grown, moves in sources.items():
+            v0 = min(v for _, _, v in moves)
+            height = max(v + len(layer[c][1]) for _, c, v in moves) - v0
+            out = np.zeros((height, placed * k - low(grown) + 1), dtype=object)
+            for s, c, v in moves:
+                rows, lo = layer[c][1], low(c)
+                width = rows.shape[1]
+                # a slot-s cell raises the lowest degree by s + 1, so the
+                # density's t^e term lands e - s columns to the right
+                for e, w in weight[s].items():
+                    out[v - v0 : v - v0 + len(rows), e - s : e - s + width] += (
+                        rows * w[lo : lo + width]
+                    )
+                uses[c] -= 1
+                if not uses[c]:
+                    del layer[c]
+            nxt[grown] = (v0, out)
+        layer = nxt
 
-    if total != math.factorial(k * k * n):
+    ((full, (v0, rows)),) = layer.items()
+    to_top = [math.factorial(top) // math.factorial(d) for d in range(low(full), top + 1)]
+    numers = rows.dot(np.array(to_top, dtype=object)) * math.factorial(n) ** k
+    denom = math.factorial(top)
+    if sum(numers) != denom:
         raise RuntimeError(
-            f"exact engine mass check failed for k={k}, n={n}: "
-            f"{total} != {math.factorial(k * k * n)}"
+            f"exact engine mass check failed for k={k}, n={n}: {sum(numers)} != {denom}"
         )
-    return {kind: dict(hist) for kind, hist in hists.items()}
+    return {v0 + r: Fraction(numer, denom) for r, numer in enumerate(numers) if numer}

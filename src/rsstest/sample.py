@@ -62,6 +62,8 @@ class RssSample:
 
     def row(self, i: int) -> tuple[float, ...]:
         """All n values measured for rank slot i (1-based)."""
+        if not 1 <= i <= self.k:
+            raise ValueError(f"rank slot {i} out of range 1..{self.k}")
         return self.values[i - 1]
 
     def cycle(self, l: int) -> tuple[float, ...]:

@@ -318,6 +318,10 @@ def test_config_file_unknown_key(nested_csv, tmp_path, capsys):
         ["null-table", "--k", "0..2", "--n", "2"],
         ["power", "--k", "2", "--n", "2", "--model", "neighbor:1", "--seed", "1", "--alpha", "0"],
         ["test", "--null-reps", "0", "--null", "mc"],
+        ["test", "--threads", "0"],
+        ["verify", "--instances", "0"],
+        ["verify", "--instances", "-4"],
+        ["verify", "--threads", "0"],
     ],
 )
 def test_bad_flag_value_is_one_line_usage_error(argv, nested_csv, capsys):

@@ -1,7 +1,8 @@
-"""Exact engine: enumeration oracle, mass checks, published tail values."""
+"""Exact engine: enumeration oracles, mass checks, published tail values."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -11,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rsstest.statistics import tuple_discrepancies
+from rsstest.statistics import MAX_KINDS, PERM_KINDS, SUM_KINDS, tuple_discrepancies
 
 from rsstest import (
     ALL_KINDS,
@@ -58,6 +59,104 @@ def brute_distributions_by_underlying_orderings(k, n):
     return out
 
 
+def enumerate_words(k, n, visit):
+    """Call visit(word, numerator) per slot word; prob = numerator/(k^2 n)!.
+
+    Walks the (kn)!/(n!)^k distinct words of slot indices, read from the
+    smallest cell to the largest, depth-first, integrating the product of
+    order-statistic densities over the ordered region in the t^d/d! basis
+    and sharing every common prefix's partial integral.
+    """
+    dens = []
+    for i in range(1, k + 1):
+        lead = k * math.comb(k - 1, i - 1)
+        coeffs = [0] * k
+        for m in range(k - i + 1):
+            coeffs[i - 1 + m] = lead * math.comb(k - i, m) * (-1) ** m
+        dens.append(coeffs)
+    top_degree = k * k * n
+    # falling[m][e] = m! / (m-e)!; factor_to_top[d] = (k^2 n)! / d!
+    falling = [[math.perm(m, e) for e in range(k)] for m in range(top_degree + 1)]
+    factor_to_top = [
+        math.factorial(top_degree) // math.factorial(d) for d in range(top_degree + 1)
+    ]
+    counts = [0] * k
+    word = []
+
+    def descend(poly):
+        if len(word) == k * n:
+            numer = sum(a * factor_to_top[d] for d, a in enumerate(poly) if a)
+            visit(tuple(word), numer)
+            return
+        for slot in range(k):
+            if counts[slot] == n:
+                continue
+            grown = [0] * (len(poly) + k)  # multiply by slot density, integrate
+            for e, ce in enumerate(dens[slot]):
+                if not ce:
+                    continue
+                for d, ad in enumerate(poly):
+                    if ad:
+                        grown[d + e + 1] += ad * ce * falling[d + e][e]
+            counts[slot] += 1
+            word.append(slot)
+            descend(grown)
+            counts[slot] -= 1
+            word.pop()
+
+    descend([1])
+
+
+@functools.lru_cache(maxsize=None)
+def word_walk_distributions(k, n):
+    """Oracle: every statistic from every word, labelled every possible way.
+
+    Per word, PN/PA/PS sum `tuple_discrepancies` over the n^k
+    recombinations, J and Wstar come from their definitions, and the sums
+    and maxima run over all (n!)^k assignments of each slot's cells to
+    cycles, each assignment being one labelled ordering of the cells.
+    """
+    hists = {kind: defaultdict(int) for kind in ALL_KINDS}
+    perms = list(itertools.permutations(range(n)))
+    word_weight = math.factorial(n) ** k
+
+    def visit(word, numer):
+        positions = [[] for _ in range(k)]
+        for where, slot in enumerate(word):
+            positions[slot].append(where + 1)
+        weight = numer * word_weight
+        # (N, A, S) of every recombination, one cell per slot
+        table = {
+            combo: tuple_discrepancies(tuple(positions[i][combo[i]] for i in range(k)))
+            for combo in itertools.product(range(n), repeat=k)
+        }
+        for idx, kind in enumerate(PERM_KINDS):
+            hists[kind][sum(d[idx] for d in table.values())] += weight
+        j_stat = sum(
+            1
+            for i in range(k)
+            for j in range(i + 1, k)
+            for a in positions[i]
+            for b in positions[j]
+            if a > b
+        )
+        hists[K.J][j_stat] += weight
+        hists[K.WSTAR][sum((i + 1) * sum(positions[i]) for i in range(k))] += weight
+        for taus in itertools.product(perms, repeat=k):
+            per_cycle = [table[tuple(tau[l] for tau in taus)] for l in range(n)]
+            for idx, (sum_kind, max_kind) in enumerate(zip(SUM_KINDS, MAX_KINDS)):
+                hists[sum_kind][sum(d[idx] for d in per_cycle)] += numer
+                hists[max_kind][max(d[idx] for d in per_cycle)] += numer
+
+    enumerate_words(k, n, visit)
+    denom = math.factorial(k * k * n)
+    assert all(sum(hist.values()) == denom for hist in hists.values())
+    return {
+        kind: {v: Fraction(c, denom) for v, c in sorted(hist.items())}
+        for kind, hist in hists.items()
+    }
+
+
 def tail(pmf, cv):
     return sum((p for v, p in pmf.items() if v >= cv), Fraction(0))
 
@@ -89,34 +188,25 @@ def test_engine_matches_enumeration_oracle_2x2():
 
 @pytest.mark.parametrize("k,n", [(2, 3), (3, 2)])
 def test_cycle_assignment_quotient_matches_full_enumeration(k, n):
-    # the engine accumulates sums/maxima over canonical cycle assignments
-    # only (pinning slot 1); enumerating all (n!)^k assignments instead
-    # must give the same distributions
-    from rsstest.exact import _enumerate_words
-
-    kinds = (K.N_SUM, K.A_SUM, K.S_MAX, K.N_MAX)
-    hists = {kd: defaultdict(int) for kd in kinds}
-    perms = list(itertools.permutations(range(n)))
-
-    def visit(word, numer):
-        positions = [[] for _ in range(k)]
-        for where, slot in enumerate(word):
-            positions[slot].append(where + 1)
-        for taus in itertools.product(perms, repeat=k):
-            per_cycle = [
-                tuple_discrepancies(tuple(positions[i][taus[i][l]] for i in range(k)))
-                for l in range(n)
-            ]
-            hists[K.N_SUM][sum(d[0] for d in per_cycle)] += numer
-            hists[K.A_SUM][sum(d[1] for d in per_cycle)] += numer
-            hists[K.S_MAX][max(d[2] for d in per_cycle)] += numer
-            hists[K.N_MAX][max(d[0] for d in per_cycle)] += numer
-
-    _enumerate_words(k, n, visit)
-    denom = math.factorial(k * k * n)
+    # the sums and maxima come from the k x 1 pmf (n-fold convolution, max
+    # of n i.i.d. draws); the oracle labels the cells of every word with all
+    # (n!)^k cycle assignments instead
+    oracle = word_walk_distributions(k, n)
     engine = exact_distributions(k, n)
-    for kd, hist in hists.items():
-        assert {v: Fraction(c, denom) for v, c in sorted(hist.items())} == engine[kd]
+    for kd in SUM_KINDS + MAX_KINDS:
+        assert engine[kd] == oracle[kd], kd
+
+
+ORACLE_GRIDS = [(k, n) for k in range(1, 7) for n in range(1, 7) if k * n <= 6] + [(4, 2), (2, 4)]
+
+
+@pytest.mark.parametrize("k,n", ORACLE_GRIDS)
+def test_engine_matches_word_walk_oracle(k, n):
+    oracle = word_walk_distributions(k, n)
+    engine = exact_distributions(k, n)
+    assert list(engine) == list(ALL_KINDS)
+    for kind in ALL_KINDS:
+        assert list(engine[kind].items()) == list(oracle[kind].items()), kind
 
 
 # ---------------------------------------------------------------------------
@@ -143,15 +233,15 @@ def test_cap_refusal_names_alternative():
 
 
 def test_cap_never_exceeds_opt_in_ceiling():
-    # a larger max_cells is refused at once, before any enumeration
-    from rsstest.exact import _exact_histograms
+    # a larger max_cells is refused at once, before any work
+    from rsstest.exact import _exact_pmfs
 
-    misses = _exact_histograms.cache_info().misses
+    misses = _exact_pmfs.cache_info().misses
     start = time.perf_counter()
     with pytest.raises(ExactEngineCapError, match="cap of 10"):
         exact_distributions(3, 4, max_cells=12)
     assert time.perf_counter() - start < 1.0
-    assert _exact_histograms.cache_info().misses == misses
+    assert _exact_pmfs.cache_info().misses == misses
 
 
 def test_opt_in_cap_allows_nine_cells():

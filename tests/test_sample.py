@@ -200,6 +200,14 @@ def test_row_and_cycle_accessors():
     assert s.cycle(2) == (2.0, 3.0)
 
 
+@pytest.mark.parametrize("accessor,index", [("row", 0), ("row", 3), ("cycle", 0), ("cycle", 3)])
+def test_accessors_refuse_out_of_range_index(accessor, index):
+    # indices are 1-based; 0 would otherwise wrap round to the last slot or cycle
+    s = make_sample([[1, 2], [4, 3]])
+    with pytest.raises(ValueError, match="out of range"):
+        getattr(s, accessor)(index)
+
+
 def test_samples_are_immutable():
     s = make_sample([[1, 2], [4, 3]])
     with pytest.raises(AttributeError):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from rsstest import run_verification
 
 
@@ -22,3 +24,14 @@ def test_verification_catches_corruption():
     report = run_verification(seed=3, instances=20, corrupt=True)
     assert not report.passed
     assert "FAIL" in report.render_text()
+
+
+@pytest.mark.parametrize("instances", [0, -4])
+def test_verification_refuses_no_instances(instances):
+    with pytest.raises(ValueError, match="at least 1"):
+        run_verification(seed=0, instances=instances)
+
+
+def test_checks_report_samples_checked():
+    report = run_verification(seed=0, instances=2)
+    assert [c.checked for c in report.checks] == [2, 1, 15]

@@ -118,53 +118,54 @@ def build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", type=Path, default=None, help="key=value defaults file")
     common.add_argument("--output", type=Path, default=None, help="write the result here instead of stdout")
-    common.add_argument("--threads", type=_positive_int, default=None, help="worker threads (never changes results)")
+    common.add_argument("--threads", type=_positive_int, default=1, help="worker threads (never changes results)")
 
+    # argparse passes a string default through the option's type, as it does a flag's value
     p_test = sub.add_parser("test", parents=[common], help="test perfect ranking on a CSV sample")
     p_test.add_argument("data", type=Path, help="CSV file of measurements")
-    p_test.add_argument("--stat", choices=STAT_TAGS, default=None, help="statistic tag")
-    p_test.add_argument("--alpha", type=_alpha, default=None, help="significance level (default 0.05)")
+    p_test.add_argument("--stat", choices=STAT_TAGS, default="PA", help="statistic tag")
+    p_test.add_argument("--alpha", type=_alpha, default="0.05", help="significance level (default %(default)s)")
     p_test.add_argument(
         "--layout", choices=["cycles-as-rows", "cycles-as-columns"], default=None,
         help="CSV orientation (required)",
     )
     p_test.add_argument("--randomized", action="store_true", help="randomize the boundary atom")
     p_test.add_argument("--seed", type=int, default=None, help="master seed (generated and printed if absent)")
-    p_test.add_argument("--null", choices=NULL_FLAGS, default=None, help="null distribution source")
-    p_test.add_argument("--null-reps", type=_positive_int, default=None, help="Monte Carlo nulls: replications (default 100000)")
+    p_test.add_argument("--null", choices=NULL_FLAGS, default="auto", help="null distribution source")
+    p_test.add_argument("--null-reps", type=_positive_int, default=100_000, help="Monte Carlo nulls: replications (default %(default)s)")
     p_test.add_argument("--null-seed", type=int, default=None, help="Monte Carlo nulls: seed (default: master seed)")
-    p_test.add_argument("--exact-cap", type=int, default=None, help=f"max kn for the exact engine (default {DEFAULT_EXACT_CELL_CAP})")
-    p_test.add_argument("--format", choices=["text", "json"], default=None)
+    p_test.add_argument("--exact-cap", type=int, default=DEFAULT_EXACT_CELL_CAP, help="max kn for the exact engine (default %(default)s)")
+    p_test.add_argument("--format", choices=["text", "json"], default="text")
 
     p_table = sub.add_parser("null-table", parents=[common], help="critical-value table over a grid")
-    p_table.add_argument("--stat", choices=STAT_TAGS, default=None, help="statistic tag (default PA)")
+    p_table.add_argument("--stat", choices=STAT_TAGS, default="PA", help="statistic tag (default %(default)s)")
     p_table.add_argument("--k", dest="k_grid", type=_int_list, default=None, help="set sizes, e.g. 2..5 or 2,3")
     p_table.add_argument("--n", dest="n_grid", type=_int_list, default=None, help="cycle counts, e.g. 2..5")
-    p_table.add_argument("--alphas", type=_alpha_list, default=None, help="levels, e.g. 0.05,0.10")
-    p_table.add_argument("--exact-cap", type=int, default=None, help=f"max kn for the exact engine (default {DEFAULT_EXACT_CELL_CAP})")
-    p_table.add_argument("--reps", type=_positive_int, default=None, help="Monte Carlo replications above the cap (default 100000)")
+    p_table.add_argument("--alphas", type=_alpha_list, default="0.05,0.10", help="levels, e.g. 0.05,0.10")
+    p_table.add_argument("--exact-cap", type=int, default=DEFAULT_EXACT_CELL_CAP, help="max kn for the exact engine (default %(default)s)")
+    p_table.add_argument("--reps", type=_positive_int, default=100_000, help="Monte Carlo replications above the cap (default %(default)s)")
     p_table.add_argument("--seed", type=int, default=None, help="Monte Carlo seed (generated and printed if needed)")
-    p_table.add_argument("--format", choices=["text", "csv", "json"], default=None)
+    p_table.add_argument("--format", choices=["text", "csv", "json"], default="text")
 
     p_power = sub.add_parser("power", parents=[common], help="power study over a parameter grid")
-    p_power.add_argument("--k", type=int, default=None, help="set size")
-    p_power.add_argument("--n", type=int, default=None, help="cycles")
+    p_power.add_argument("--k", type=_positive_int, default=None, help="set size")
+    p_power.add_argument("--n", type=_positive_int, default=None, help="cycles")
     p_power.add_argument("--model", default=None, help="perfect | concomitant:L | random:L | inverse:L | neighbor:L")
     p_power.add_argument("--lambdas", type=_float_list, default=None, help="parameter grid, e.g. 0,0.5,1")
-    p_power.add_argument("--stats", type=_stat_list, default=None, help="statistic tags (default PA)")
-    p_power.add_argument("--alpha", type=_alpha, default=None, help="significance level (default 0.05)")
-    p_power.add_argument("--reps", type=_positive_int, default=None, help="replications per grid point (default 20000)")
+    p_power.add_argument("--stats", type=_stat_list, default="PA", help="statistic tags (default %(default)s)")
+    p_power.add_argument("--alpha", type=_alpha, default="0.05", help="significance level (default %(default)s)")
+    p_power.add_argument("--reps", type=_positive_int, default=20_000, help="replications per grid point (default %(default)s)")
     p_power.add_argument("--seed", type=int, default=None, help="master seed (generated and printed if absent)")
     p_power.add_argument("--population", choices=["uniform", "normal"], default=None)
-    p_power.add_argument("--null", choices=NULL_FLAGS, default=None, help="null source (default auto)")
-    p_power.add_argument("--null-reps", type=_positive_int, default=None, help="Monte Carlo nulls: replications (default 1000000)")
+    p_power.add_argument("--null", choices=NULL_FLAGS, default="auto", help="null source (default %(default)s)")
+    p_power.add_argument("--null-reps", type=_positive_int, default=1_000_000, help="Monte Carlo nulls: replications (default %(default)s)")
     p_power.add_argument("--null-seed", type=int, default=None, help="Monte Carlo nulls: seed (default: master seed)")
-    p_power.add_argument("--exact-cap", type=int, default=None, help=f"max kn for exact nulls under auto (default {DEFAULT_EXACT_CELL_CAP})")
-    p_power.add_argument("--format", choices=["text", "csv", "json"], default=None)
+    p_power.add_argument("--exact-cap", type=int, default=DEFAULT_EXACT_CELL_CAP, help="max kn for exact nulls under auto (default %(default)s)")
+    p_power.add_argument("--format", choices=["text", "csv", "json"], default="text")
 
     p_verify = sub.add_parser("verify", parents=[common], help="run the identity self-checks")
-    p_verify.add_argument("--seed", type=int, default=None, help="seed for the random instances (default 0)")
-    p_verify.add_argument("--instances", type=_positive_int, default=None, help="number of random samples (default 200)")
+    p_verify.add_argument("--seed", type=int, default=0, help="seed for the random instances (default %(default)s)")
+    p_verify.add_argument("--instances", type=_positive_int, default=200, help="number of random samples (default %(default)s)")
     p_verify.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
 
     return parser
@@ -206,11 +207,6 @@ def _with_config(parser: _Parser, args: argparse.Namespace, argv: list[str]) -> 
     return [command, *flags, *rest]
 
 
-def _default(args: argparse.Namespace, key: str, value):
-    if getattr(args, key) is None:
-        setattr(args, key, value)
-
-
 def _emit(args: argparse.Namespace, content: str) -> None:
     if args.output is not None:
         args.output.write_text(content)
@@ -226,13 +222,6 @@ def _resolve_seed(value: int | None) -> tuple[int, bool]:
 
 
 def _cmd_test(args: argparse.Namespace) -> int:
-    _default(args, "threads", 1)
-    _default(args, "stat", "PA")
-    _default(args, "alpha", "0.05")
-    _default(args, "null", "auto")
-    _default(args, "null_reps", 100_000)
-    _default(args, "exact_cap", DEFAULT_EXACT_CELL_CAP)
-    _default(args, "format", "text")
     if args.layout is None:
         raise UsageError("--layout is required (cycles-as-rows or cycles-as-columns)")
 
@@ -300,12 +289,6 @@ def _cmd_test(args: argparse.Namespace) -> int:
 
 
 def _cmd_null_table(args: argparse.Namespace) -> int:
-    _default(args, "threads", 1)
-    _default(args, "stat", "PA")
-    _default(args, "alphas", ["0.05", "0.10"])
-    _default(args, "exact_cap", DEFAULT_EXACT_CELL_CAP)
-    _default(args, "reps", 100_000)
-    _default(args, "format", "text")
     if args.k_grid is None or args.n_grid is None:
         raise UsageError("--k and --n grids are required, e.g. --k 2..5 --n 2..5")
 
@@ -382,14 +365,6 @@ def _cmd_null_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_power(args: argparse.Namespace) -> int:
-    _default(args, "threads", 1)
-    _default(args, "stats", [StatisticKind.PA])
-    _default(args, "alpha", "0.05")
-    _default(args, "reps", 20_000)
-    _default(args, "null", "auto")
-    _default(args, "null_reps", 1_000_000)
-    _default(args, "exact_cap", DEFAULT_EXACT_CELL_CAP)
-    _default(args, "format", "text")
     if args.k is None or args.n is None:
         raise UsageError("--k and --n are required")
     if args.model is None:
@@ -452,9 +427,6 @@ def _cmd_power(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    _default(args, "threads", 1)
-    _default(args, "seed", 0)
-    _default(args, "instances", 200)
     report = run_verification(seed=args.seed, instances=args.instances, corrupt=args.corrupt)
     _emit(args, report.render_text())
     return EXIT_OK if report.passed else EXIT_REJECT

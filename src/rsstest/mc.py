@@ -1,11 +1,12 @@
 """Monte Carlo null distributions under perfect ranking.
 
-Replicates are drawn in fixed-size chunks; chunk c always comes from
-stream (seed, NULL_STREAM_BASE + c), so the result for a given (seed,
-reps) is bit-identical however the chunks are spread across workers.
-Evaluating several statistics in one run shares the simulated samples,
-which is both cheaper and harmless: each statistic's marginal null
-distribution is what the tables need.
+`run_chunks` holds the package's one chunk layout for seeded Monte Carlo:
+null distributions here (stream base NULL_STREAM_BASE) and power studies
+(`power.estimate_power`) both run on it, so every seeded result is
+bit-identical whatever the thread count.  Evaluating several statistics
+in one run shares the simulated samples, which is both cheaper and
+harmless: each statistic's marginal null distribution is what the tables
+need.
 
 `exact_route` and `null_distributions_for` hold the package's one
 null-source policy, exact engine or Monte Carlo; the CLI and power studies
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterable, TypeVar
 
 import numpy as np
 
@@ -32,6 +33,34 @@ CHUNK_SIZE = 8192
 NULL_METHODS = ("auto", "exact", "monte-carlo")
 
 _PERFECT = ImperfectModel("perfect")
+T = TypeVar("T")
+
+
+def run_chunks(
+    one_chunk: Callable[[np.random.Generator, int], T],
+    reps: int,
+    seed: int,
+    base: int,
+    threads: int = 1,
+) -> list[T]:
+    """`one_chunk(rng, take)` for every chunk of `reps` replicates, in chunk order.
+
+    Chunk c gets the generator of stream (seed, base + c) and keeps the
+    first `take` of its replicates: CHUNK_SIZE in every chunk but the
+    last, which keeps the rest.  `one_chunk` draws a full CHUNK_SIZE
+    before cutting to `take`, so a stream is consumed the same way
+    whatever `reps` is.  With `threads` > 1 the chunks run on a thread
+    pool, which changes no result.
+    """
+    n_chunks = -(-reps // CHUNK_SIZE)
+
+    def run(c: int) -> T:
+        return one_chunk(substream(seed, base + c), min(CHUNK_SIZE, reps - c * CHUNK_SIZE))
+
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(run, range(n_chunks)))
+    return [run(c) for c in range(n_chunks)]
 
 
 def mc_null_distributions(
@@ -52,11 +81,10 @@ def mc_null_distributions(
     if reps < 1:
         raise ValueError("reps must be at least 1")
     kinds = tuple(dict.fromkeys(kinds))
-    n_chunks = -(-reps // CHUNK_SIZE)
 
-    def one_chunk(c: int) -> dict[StatisticKind, tuple[np.ndarray, np.ndarray]]:
-        rng = substream(seed, NULL_STREAM_BASE + c)
-        take = min(CHUNK_SIZE, reps - c * CHUNK_SIZE)
+    def one_chunk(
+        rng: np.random.Generator, take: int
+    ) -> dict[StatisticKind, tuple[np.ndarray, np.ndarray]]:
         cells = draw_cells(_PERFECT, "uniform", k, n, CHUNK_SIZE, rng)[:take]
         if transform is not None:
             cells = transform(cells)
@@ -64,12 +92,7 @@ def mc_null_distributions(
         return {kind: np.unique(arr, return_counts=True) for kind, arr in stats.items()}
 
     counts: dict[StatisticKind, dict[int, int]] = {kind: {} for kind in kinds}
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunk_results = list(pool.map(one_chunk, range(n_chunks)))
-    else:
-        chunk_results = [one_chunk(c) for c in range(n_chunks)]
-    for result in chunk_results:
+    for result in run_chunks(one_chunk, reps, seed, NULL_STREAM_BASE, threads):
         for kind, (values, freq) in result.items():
             bucket = counts[kind]
             for v, f in zip(values.tolist(), freq.tolist()):

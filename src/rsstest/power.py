@@ -7,34 +7,37 @@ boundary-randomisation uniform per replicate.  That keeps comparisons
 between statistics low-variance and makes provably equivalent tests agree
 replicate by replicate.
 
-Chunks map to fixed streams (seed, POWER_STREAM_BASE + grid offset + c),
-so estimates are reproducible and independent of the worker count.  Null
-critical values come from `mc.null_distributions_for`, which holds the
-package's one exact-versus-Monte-Carlo policy (`mc.exact_route`); a Monte
-Carlo null defaults to the study seed, and its stream indices are disjoint
-from the power stream indices by construction.
+Grid point i runs on `mc.run_chunks`, which holds the chunk layout, from
+stream base POWER_STREAM_BASE + i * 2^20; each chunk draws its boundary
+uniforms right after its cells.  So estimates are reproducible and
+independent of the worker count.  Null critical values come from
+`mc.null_distributions_for`, which holds the package's one
+exact-versus-Monte-Carlo policy (`mc.exact_route`); a Monte Carlo null
+defaults to the study seed, and its stream indices are disjoint from the
+power stream indices by construction.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .batch import evaluate_batch
 from .errors import DataValidationError
 from .exact import DEFAULT_EXACT_CELL_CAP
-from .mc import NULL_METHODS, null_distributions_for
+from .mc import CHUNK_SIZE, NULL_METHODS, null_distributions_for, run_chunks
 from .models import ImperfectModel, Population, draw_cells, resolve_population
 from .nulldist import NullDistribution, Provenance, as_exact_probability, critical_value
 from .statistics import StatisticKind, is_lower_tail
-from .streams import POWER_STREAM_BASE, substream
+from .streams import POWER_STREAM_BASE
 
 POWER_TABLE_FORMAT = "rsstest-power-table/1"
-CHUNK_SIZE = 8192
 _LAMBDA_STRIDE = 1 << 20  # max chunks per grid point
 
 
@@ -79,9 +82,14 @@ class PowerStudy:
         kinds = tuple(StatisticKind(kd) for kd in self.kinds)
         if not kinds:
             raise DataValidationError("at least one statistic is required")
-        if not self.lambda_grid:
+        if len(set(kinds)) < len(kinds):
+            raise DataValidationError("a statistic is requested more than once")
+        grid = tuple(float(v) for v in self.lambda_grid)
+        if not grid:
             raise DataValidationError("the parameter grid must not be empty")
-        for lam in self.lambda_grid:
+        if len(set(grid)) < len(grid):
+            raise DataValidationError("the parameter grid repeats a value")
+        for lam in grid:
             ImperfectModel(self.model_tag, lam)  # validates tag and domain
         alpha = as_exact_probability(self.alpha)
         if not 0 < alpha < 1:
@@ -89,7 +97,7 @@ class PowerStudy:
         if self.reps < 1:
             raise DataValidationError("reps must be at least 1")
         object.__setattr__(self, "kinds", kinds)
-        object.__setattr__(self, "lambda_grid", tuple(float(v) for v in self.lambda_grid))
+        object.__setattr__(self, "lambda_grid", grid)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(
             self, "population", resolve_population(self.model_tag, self.population)
@@ -265,51 +273,31 @@ def estimate_power(
 
     crits = {kind: critical_value(null_dists[kind], study.alpha) for kind in study.kinds}
     lower = {kind: is_lower_tail(kind) for kind in study.kinds}
-    n_chunks = -(-study.reps // CHUNK_SIZE)
-    if n_chunks > _LAMBDA_STRIDE:
+    if study.reps > _LAMBDA_STRIDE * CHUNK_SIZE:
         raise DataValidationError("reps beyond the supported stream layout")
 
-    def run_point(lam_idx: int) -> dict[StatisticKind, int]:
-        model = ImperfectModel(study.model_tag, study.lambda_grid[lam_idx])
-
-        def one_chunk(c: int) -> dict[StatisticKind, int]:
-            rng = substream(
-                study.seed, POWER_STREAM_BASE + lam_idx * _LAMBDA_STRIDE + c
-            )
-            take = min(CHUNK_SIZE, study.reps - c * CHUNK_SIZE)
-            cells = draw_cells(
-                model, study.population, study.k, study.n, CHUNK_SIZE, rng
-            )
-            u = rng.random(CHUNK_SIZE)
-            cells, u = cells[:take], u[:take]
-            stats = evaluate_batch(cells, study.kinds)
-            counts = {}
-            for kind in study.kinds:
-                crit = crits[kind]
-                t = stats[kind]
-                beyond = t <= crit.cv if lower[kind] else t >= crit.cv
-                reject = beyond
-                if crit.boundary is not None and crit.gamma > 0:
-                    reject = beyond | ((t == crit.boundary) & (u < float(crit.gamma)))
-                counts[kind] = int(reject.sum())
-            return counts
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                chunk_counts = list(pool.map(one_chunk, range(n_chunks)))
-        else:
-            chunk_counts = [one_chunk(c) for c in range(n_chunks)]
-        return {
-            kind: sum(cc[kind] for cc in chunk_counts) for kind in study.kinds
-        }
+    def rejections(model: ImperfectModel, rng: np.random.Generator, take: int) -> list[int]:
+        draws = draw_cells(model, study.population, study.k, study.n, CHUNK_SIZE, rng)
+        u = rng.random(CHUNK_SIZE)[:take]
+        stats = evaluate_batch(draws[:take], study.kinds)
+        counts = []
+        for kind in study.kinds:
+            crit = crits[kind]
+            t = stats[kind]
+            reject = t <= crit.cv if lower[kind] else t >= crit.cv
+            if crit.boundary is not None and crit.gamma > 0:
+                reject = reject | ((t == crit.boundary) & (u < float(crit.gamma)))
+            counts.append(int(reject.sum()))
+        return counts
 
     cells = []
     for lam_idx, lam in enumerate(study.lambda_grid):
-        counts = run_point(lam_idx)
-        for kind in study.kinds:
-            cells.append(
-                PowerCell(kind=kind, lam=lam, rejections=counts[kind], reps=study.reps)
-            )
+        chunks = run_chunks(
+            partial(rejections, ImperfectModel(study.model_tag, lam)),
+            study.reps, study.seed, POWER_STREAM_BASE + lam_idx * _LAMBDA_STRIDE, threads,
+        )
+        for kind, total in zip(study.kinds, map(sum, zip(*chunks))):
+            cells.append(PowerCell(kind=kind, lam=lam, rejections=total, reps=study.reps))
     return PowerTable(
         study=study,
         cells=tuple(cells),

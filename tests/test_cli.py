@@ -322,6 +322,8 @@ def test_config_file_unknown_key(nested_csv, tmp_path, capsys):
         ["verify", "--instances", "0"],
         ["verify", "--instances", "-4"],
         ["verify", "--threads", "0"],
+        ["power", "--k", "0", "--n", "2", "--model", "neighbor:1", "--seed", "1"],
+        ["power", "--k", "2", "--n", "0", "--model", "neighbor:1", "--seed", "1"],
     ],
 )
 def test_bad_flag_value_is_one_line_usage_error(argv, nested_csv, capsys):

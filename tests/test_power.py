@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -14,7 +16,14 @@ from rsstest import (
     StatisticKind,
     compare_tests,
     estimate_power,
+    exact_null_distribution,
 )
+from rsstest.batch import evaluate_batch
+from rsstest.mc import CHUNK_SIZE, mc_null_distributions
+from rsstest.models import ImperfectModel, draw_cells
+from rsstest.nulldist import critical_value
+from rsstest.statistics import is_lower_tail
+from rsstest.streams import NULL_STREAM_BASE, POWER_STREAM_BASE, substream
 
 K = StatisticKind
 
@@ -50,6 +59,10 @@ def test_study_validation():
         small_study(kinds=())
     with pytest.raises(DataValidationError, match="normal"):
         small_study(model_tag="concomitant", lambda_grid=(0.5,), population="uniform")
+    with pytest.raises(DataValidationError, match="more than once"):
+        small_study(kinds=(K.PA, K.PA, K.J))
+    with pytest.raises(DataValidationError, match="repeats"):
+        small_study(lambda_grid=(0.5, 0.5))
 
 
 def test_unknown_population_is_refused():
@@ -179,6 +192,49 @@ def test_determinism_and_thread_independence():
     assert a.to_json_dict() == b.to_json_dict() == c.to_json_dict()
 
 
+@pytest.mark.parametrize("takes", [(CHUNK_SIZE, CHUNK_SIZE, 5), (CHUNK_SIZE, 3000)])
+def test_chunk_layout_matches_stream_definition(takes):
+    # chunk c of the null draws from stream NULL_STREAM_BASE + c, chunk c of
+    # grid point i from POWER_STREAM_BASE + i * 2^20 + c; every chunk draws a
+    # full CHUNK_SIZE (then power's uniforms) and keeps its first `take`.
+    # A last chunk of 3000 shows a short power draw that 5 replicates can miss.
+    k, n, seed = 2, 3, 17
+    reps = sum(takes)
+    kinds = (K.PA, K.J, K.WSTAR)
+
+    seen = {kind: Counter() for kind in kinds}
+    for c, take in enumerate(takes):
+        rng = substream(seed, NULL_STREAM_BASE + c)
+        cells = draw_cells(ImperfectModel("perfect"), "uniform", k, n, CHUNK_SIZE, rng)[:take]
+        for kind, t in evaluate_batch(cells, kinds).items():
+            seen[kind].update(t.tolist())
+
+    study = small_study(kinds=kinds, model_tag="neighbor", lambda_grid=(0.0, 0.5), reps=reps, seed=seed)
+    crits = {kind: critical_value(exact_null_distribution(kind, k, n), study.alpha) for kind in kinds}
+    expected = {}
+    for i, lam in enumerate(study.lambda_grid):
+        model = ImperfectModel("neighbor", lam)
+        for c, take in enumerate(takes):
+            rng = substream(seed, POWER_STREAM_BASE + i * 2**20 + c)
+            cells = draw_cells(model, study.population, k, n, CHUNK_SIZE, rng)[:take]
+            u = rng.random(CHUNK_SIZE)[:take]
+            for kind, t in evaluate_batch(cells, kinds).items():
+                crit = crits[kind]
+                reject = t <= crit.cv if is_lower_tail(kind) else t >= crit.cv
+                if crit.gamma > 0:
+                    reject |= (t == crit.boundary) & (u < float(crit.gamma))
+                expected[(kind, lam)] = expected.get((kind, lam), 0) + int(reject.sum())
+
+    for threads in (1, 3):
+        nulls = mc_null_distributions(kinds, k, n, reps, seed, threads=threads)
+        for kind in kinds:
+            support = tuple(sorted(seen[kind]))
+            assert nulls[kind].support == support
+            assert nulls[kind].probs == tuple(Fraction(seen[kind][v], reps) for v in support)
+        table = estimate_power(study, threads=threads)
+        assert {(c.kind, c.lam): c.rejections for c in table.cells} == expected
+
+
 def test_mc_null_source():
     study = small_study(
         reps=2000,
@@ -190,8 +246,6 @@ def test_mc_null_source():
 
 
 def test_precomputed_null_dists_must_match():
-    from rsstest import exact_null_distribution
-
     study = small_study(reps=500)
     wrong = {K.PA: exact_null_distribution(K.PA, 2, 2)}
     with pytest.raises(DataValidationError, match="mismatched"):

@@ -7,12 +7,16 @@ The independent oracles the tests and `verify` compare it with are
 `statistics.tuple_discrepancies` (one cycle, or one recombined sample)
 and `statistics.brute_force_perm_all` (the n^k enumeration).
 
+J, Wstar and PA are sums of `cell_shares` over the cells; the per-slot
+counts below every cell come from one argsort per sample.
+
 Results are exact integers on every grid.  Rank counts (within-cycle
-ranks, J, overall ranks, per-slot counts below each cell) are at most
-k * (kn)^2 and stay int64.  The scaled quantities (PN, PS and the PA
-convolution) grow like n^k * k^3; `_accumulator` decides from (k, n)
-alone whether they fit in int64, and where they do not the same code
-runs with Python-int (object) accumulators instead of wrapping.
+ranks, J, Wstar) are at most k * (kn)^2 and stay int64; the per-slot
+counts below a cell are at most n and stay int32.  The scaled
+quantities (PN, PS and the PA convolution) grow like n^k * k^3;
+`_accumulator` decides from (k, n) alone whether they fit in int64, and
+where they do not the same code runs with Python-int (object)
+accumulators instead of wrapping.
 """
 
 from __future__ import annotations
@@ -21,15 +25,10 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .statistics import (
-    MAX_KINDS,
-    PERM_KINDS,
-    SUM_KINDS,
-    StatisticKind,
-    ps_offset,
-)
+from .statistics import MAX_KINDS, SUM_KINDS, StatisticKind, ps_offset
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
+_BASE = {StatisticKind.PN: StatisticKind.J, StatisticKind.PS: StatisticKind.WSTAR}
 
 
 def _accumulator(k: int, n: int) -> type:
@@ -64,7 +63,7 @@ def evaluate_batch(
 
     need = set(kinds)
     need_cycles = need & (set(SUM_KINDS) | set(MAX_KINDS))
-    need_cross = need & ({StatisticKind.J, StatisticKind.WSTAR, StatisticKind.PA} | set(PERM_KINDS))
+    need_cross = need - need_cycles  # J, Wstar and the three PERM_KINDS
 
     if need_cycles:
         # gt[b, i, j, l]: slot-i value above slot-j value within cycle l
@@ -81,59 +80,70 @@ def evaluate_batch(
             out[kind] = series.sum(axis=1) if kind in SUM_KINDS else series.max(axis=1)
 
     if need_cross:
-        # above[b, i, a, j, c]: cell (i, a) above cell (j, c)
-        above = vals[:, :, :, None, None] > vals[:, None, None, :, :]
-        j_stat = None
-        if need & {StatisticKind.J, StatisticKind.PN}:
-            pair_mask = np.triu(np.ones((k, k), dtype=bool), 1)
-            j_stat = np.einsum("biajc,ij->b", above, pair_mask, dtype=np.int64)
-        w_stat = None
-        if need & {StatisticKind.WSTAR, StatisticKind.PS}:
-            overall = 1 + above.sum(axis=(3, 4), dtype=np.int64)
-            w_stat = np.einsum(
-                "bjc,j->b", overall, np.arange(1, k + 1, dtype=np.int64)
-            )
-        if StatisticKind.J in need:
-            out[StatisticKind.J] = j_stat
-        if StatisticKind.WSTAR in need:
-            out[StatisticKind.WSTAR] = w_stat
+        # PN and PS are pushforwards of J and Wstar
+        below = _below_counts(vals)
+        for kind in {_BASE.get(kind, kind) for kind in need_cross}:
+            out[kind] = sum(cell_shares(kind, s, below[:, s], n, acc).sum(axis=1) for s in range(k))
+        scale = n ** max(k - 2, 0)  # J is 0 for k = 1, where every recombination is sorted
         if StatisticKind.PN in need:
-            # J is 0 for k = 1, where every recombined sample is sorted
-            out[StatisticKind.PN] = n ** max(k - 2, 0) * j_stat.astype(acc, copy=False)
+            out[StatisticKind.PN] = scale * out[StatisticKind.J].astype(acc, copy=False)
         if StatisticKind.PS in need:
-            if k >= 2:
-                scaled = 2 * n ** (k - 2) * w_stat.astype(acc, copy=False)
-                out[StatisticKind.PS] = ps_offset(k, n) - scaled
-            else:
-                out[StatisticKind.PS] = np.zeros(b, np.int64)
-        if StatisticKind.PA in need:
-            # below_counts[b, j, c, i]: slot-i values under cell (j, c)
-            below_counts = above.sum(axis=4, dtype=np.int64)
-            out[StatisticKind.PA] = _pa_from_counts(below_counts, k, n, acc)
+            scaled = 2 * scale * out[StatisticKind.WSTAR].astype(acc, copy=False)
+            out[StatisticKind.PS] = ps_offset(k, n) - scaled if k >= 2 else np.zeros(b, np.int64)
 
     return {kind: out[kind] for kind in kinds}
 
 
-def _pa_from_counts(below_counts: np.ndarray, k: int, n: int, acc: type) -> np.ndarray:
-    """PA via per-cell Bernoulli-sum convolution, batched.
+def _below_counts(vals: np.ndarray) -> np.ndarray:
+    """below[b, s, c, i]: the slot-i cells of sample b that lie below cell (s, c).
 
-    For cell (j, c) the rank in a random recombination is 1 plus a sum of
-    independent Bernoulli(below/n) over the other slots; pmf numerators
-    are convolved in `acc` integers over the common denominator n^(k-1)
-    and n^(k-1) * E|rank - j| reduces to an exact integer per cell.
+    One argsort per sample orders its kn cells; a running count of the
+    slots met along that order, taken before each cell, is scattered back
+    to the cells.  Every count is at most n, so int32 holds it.
     """
-    b = below_counts.shape[0]
-    pa = np.zeros(b, dtype=acc)
-    for j in range(k):
-        pmf = np.zeros((b, n, k), dtype=acc)
-        pmf[:, :, 0] = 1
-        for i in range(k):
-            if i == j:
-                continue
-            m = below_counts[:, j, :, i].astype(acc, copy=False)  # (B, n)
-            nxt = pmf * (n - m)[:, :, None]
-            nxt[:, :, 1:] += pmf[:, :, :-1] * m[:, :, None]
+    b, k, n = vals.shape
+    order = np.argsort(vals.reshape(b, k * n), axis=1)
+    met = (order // n)[:, :, None] == np.arange(k)
+    seen = np.cumsum(met, axis=1, dtype=np.int32)
+    seen -= met
+    below = np.empty_like(seen)
+    below[np.arange(b)[:, None], order] = seen
+    return below.reshape(b, k, n, k)
+
+
+def cell_shares(
+    kind: StatisticKind, s: int, counts: np.ndarray, n: int, acc: type = np.int64
+) -> np.ndarray:
+    """What a slot-s cell adds to J, Wstar or PA, given the counts below it.
+
+    `counts[..., i]` counts the slot-i cells below the cell (slots 0-based,
+    n cells a slot, k = counts.shape[-1], any leading shape):
+
+      J      sum_{i>s} counts_i              (higher-slot cells it lies above)
+      Wstar  (s+1) * (sum counts + 1)        (slot weight times overall rank)
+      PA     n^(k-1) * E|1 + sum_{i!=s} Bernoulli(counts_i/n) - (s+1)|
+
+    The PA share is the cell's rank discrepancy summed over the random
+    recombinations, where its rank is 1 plus one Bernoulli per other slot;
+    the pmf numerators over n^(k-1) are convolved in `acc` integers.  J
+    and Wstar shares are int64.
+    """
+    kind = StatisticKind(kind)
+    if kind is StatisticKind.J:
+        return counts[..., s + 1 :].sum(axis=-1, dtype=np.int64)
+    if kind is StatisticKind.WSTAR:
+        return (s + 1) * (counts.sum(axis=-1, dtype=np.int64) + 1)
+    if kind is not StatisticKind.PA:
+        raise ValueError(f"no per-cell share for {kind.value}")
+    k = counts.shape[-1]
+    below = counts.astype(acc)
+    pmf = np.zeros(counts.shape[:-1] + (k,), dtype=acc)
+    pmf[..., 0] = 1
+    for i in range(k):
+        if i != s:
+            m = below[..., i, None]
+            nxt = pmf * (n - m)
+            nxt[..., 1:] += pmf[..., :-1] * m
             pmf = nxt
-        weights = np.abs(np.arange(k, dtype=np.int64) - j).astype(acc, copy=False)
-        pa += np.einsum("bcs,s->b", pmf, weights)
-    return pa
+    weights = np.abs(np.arange(k, dtype=np.int64) - s).astype(acc, copy=False)
+    return (pmf * weights).sum(axis=-1)

@@ -7,15 +7,9 @@ integrates the product of order-statistic densities over the ordered
 region exactly, with one dynamic program over the cells from smallest to
 largest.  Its state is (c, partial statistic), c counting the cells of
 each slot placed so far: cells of a slot are i.i.d., and J, Wstar and PA
-are sums over cells of an integer that depends only on the cell's slot s
-and the counts c below it,
-
-  J      sum_{i>s} c_i                 (higher-slot cells it lies above)
-  Wstar  (s+1) * (sum c + 1)           (slot weight times overall rank)
-  PA     n^(k-1) * E|1 + sum_{i!=s} Bernoulli(c_i/n) - (s+1)|
-
-(the last is the cell's share of PA: its rank in a random recombination
-is 1 plus one Bernoulli per other slot, the convolution of `batch`).
+are sums over cells of `batch.cell_shares`, an integer that depends only
+on the cell's slot s and the counts c below it (the Monte Carlo kernel
+sums the same shares); it is tabulated once per (statistic, k, n).
 Integration is linear, so the partial integrals of all prefixes reaching
 a state are summed.  They stay in integers: polynomials are carried in
 the t^d/d! basis, where multiplying by an integer-coefficient density
@@ -36,14 +30,16 @@ engine instead.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
+from .batch import cell_shares
 from .errors import ExactEngineCapError
 from .statistics import StatisticKind, ps_offset
 
@@ -112,23 +108,6 @@ def _max_of_iid(pmf: Pmf, n: int) -> Pmf:
     return out
 
 
-def _increment(kind: StatisticKind, k: int, n: int) -> Callable[[int, tuple[int, ...]], int]:
-    """What a slot-s cell with counts c below it adds to J, Wstar or PA."""
-    if kind is K.J:
-        return lambda s, c: sum(c[s + 1 :])
-    if kind is K.WSTAR:
-        return lambda s, c: (s + 1) * (sum(c) + 1)
-
-    def pa(s: int, c: tuple[int, ...]) -> int:
-        pmf = [1]  # numerators over n^(number of other slots convolved so far)
-        for i in range(k):
-            if i != s:
-                pmf = [a * (n - c[i]) + b * c[i] for a, b in zip(pmf + [0], [0] + pmf)]
-        return sum(p * abs(r - s) for r, p in enumerate(pmf))
-
-    return pa
-
-
 @lru_cache(maxsize=None)
 def _count_dp(k: int, n: int, kind: StatisticKind) -> Pmf:
     """Exact pmf of J, Wstar or PA on a k x n grid, by the DP over slot counts.
@@ -140,7 +119,12 @@ def _count_dp(k: int, n: int, kind: StatisticKind) -> Pmf:
     once its successors are built, so at most two layers are alive.
     """
     top = k * k * n
-    increment = _increment(kind, k, n)
+    # share[s][c]: what a slot-s cell with counts c below it adds
+    vectors = list(itertools.product(range(n + 1), repeat=k))
+    share = [
+        dict(zip(vectors, cell_shares(kind, s, np.array(vectors), n, object).tolist()))
+        for s in range(k)
+    ]
     # weight[s][e][d]: what t^d/d! times the t^e term of slot s's density
     # k C(k-1, s) t^s (1-t)^(k-1-s), integrated, puts on t^(d+e+1)/(d+e+1)!
     weight = []
@@ -166,7 +150,7 @@ def _count_dp(k: int, n: int, kind: StatisticKind) -> Pmf:
             uses[c] = len(slots)
             for s in slots:
                 grown = c[:s] + (c[s] + 1,) + c[s + 1 :]
-                sources[grown].append((s, c, v0 + increment(s, c)))
+                sources[grown].append((s, c, v0 + share[s][c]))
         nxt = {}
         for grown, moves in sources.items():
             v0 = min(v for _, _, v in moves)

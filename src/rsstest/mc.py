@@ -70,14 +70,8 @@ def mc_null_distributions(
     reps: int,
     seed: int,
     threads: int = 1,
-    transform: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> dict[StatisticKind, NullDistribution]:
-    """Empirical null distributions of several statistics in one pass.
-
-    `transform` (testing hook) is applied to each chunk's (B, k, n) cell
-    array before evaluation; any strictly increasing cellwise map must
-    leave every distribution unchanged, bit for bit.
-    """
+    """Empirical null distributions of several statistics in one pass."""
     if reps < 1:
         raise ValueError("reps must be at least 1")
     kinds = tuple(dict.fromkeys(kinds))
@@ -86,8 +80,6 @@ def mc_null_distributions(
         rng: np.random.Generator, take: int
     ) -> dict[StatisticKind, tuple[np.ndarray, np.ndarray]]:
         cells = draw_cells(_PERFECT, "uniform", k, n, CHUNK_SIZE, rng)[:take]
-        if transform is not None:
-            cells = transform(cells)
         stats = evaluate_batch(cells, kinds)
         return {kind: np.unique(arr, return_counts=True) for kind, arr in stats.items()}
 

@@ -364,6 +364,8 @@ class ComparisonReport:
 def compare_tests(tables: Sequence[PowerTable]) -> ComparisonReport:
     """Merge tables sharing a configuration and rank their statistics.
 
+    A (statistic, parameter) cell in several tables must agree in all.
+
     Differences beyond twice the joint standard error count as
     significant; the verdicts summarise each ordered pair across the
     whole grid.
@@ -381,7 +383,10 @@ def compare_tests(tables: Sequence[PowerTable]) -> ComparisonReport:
                 "tables disagree on grid, model, alpha or population; cannot compare"
             )
         for c in table.cells:
-            cells[(c.kind, c.lam)] = c
+            if cells.setdefault((c.kind, c.lam), c) != c:
+                raise DataValidationError(
+                    f"tables give {c.kind.value} at lambda={c.lam:g} different results; cannot compare"
+                )
             if c.kind not in kinds:
                 kinds.append(c.kind)
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import rsstest.mc
 from rsstest import (
     ALL_KINDS,
     Decision,
@@ -327,11 +328,13 @@ def test_mc_agrees_with_exact_all_kinds():
                 assert abs(float(got) - want) <= 4 * se, (k, n, kind, cv)
 
 
-def test_mc_distribution_free_under_monotone_transform():
+def test_mc_distribution_free_under_monotone_transform(monkeypatch):
     # transforming every simulated sample leaves the distributions identical
     kinds = (K.PA, K.N_SUM, K.WSTAR)
     plain = mc_null_distributions(kinds, 3, 2, 20_000, seed=4)
-    scaled = mc_null_distributions(kinds, 3, 2, 20_000, seed=4, transform=lambda c: 2.0 * c)
+    draw = rsstest.mc.draw_cells
+    monkeypatch.setattr(rsstest.mc, "draw_cells", lambda *args: 2.0 * draw(*args))
+    scaled = mc_null_distributions(kinds, 3, 2, 20_000, seed=4)
     for kind in kinds:
         assert plain[kind].support == scaled[kind].support
         assert plain[kind].probs == scaled[kind].probs

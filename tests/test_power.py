@@ -291,6 +291,18 @@ def test_compare_tests_identical_tables_no_significance():
         assert v.above == 0 and v.below == 0
 
 
+def test_compare_tests_refuses_conflicting_cells():
+    # two seeds give the same (statistic, lambda) cell different counts;
+    # merging them must not keep one silently
+    a, b = (
+        estimate_power(small_study(lambda_grid=(0.5,), reps=134, seed=seed))
+        for seed in (1, 2)
+    )
+    assert a.cell(K.PA, 0.5) != b.cell(K.PA, 0.5)
+    with pytest.raises(DataValidationError, match="different results"):
+        compare_tests([a, b])
+
+
 def test_compare_tests_mismatched_grids():
     a = estimate_power(small_study(reps=500))
     b = estimate_power(small_study(reps=500, lambda_grid=(0.0, 0.7)))

@@ -175,6 +175,28 @@ def test_fast_paths_match_brute_force(rng, k, n):
         assert evaluate(s, K.PS) == ps_offset(k, n) - 2 * n ** (k - 2) * evaluate(s, K.WSTAR) == ps
 
 
+def test_batch_matches_oracles_for_each_requested_kind():
+    # 32 perfect draws per grid: every sample against the enumerated and
+    # from-definition oracles, and each kind requested alone against the
+    # same kind from the all-kinds call
+    perfect = ImperfectModel("perfect")
+    for k in range(1, 6):
+        for n in range(1, 5):
+            cells = draw_cells(perfect, "uniform", k, n, 32, substream(10 * k + n, 0))
+            together = evaluate_batch(cells, ALL_KINDS)
+            for kind in ALL_KINDS:
+                alone = evaluate_batch(cells, [kind])[kind]
+                assert alone.dtype == together[kind].dtype, (k, n, kind)
+                assert alone.tolist() == together[kind].tolist(), (k, n, kind)
+            for b, sample_cells in enumerate(cells):
+                s = make_sample(sample_cells)
+                want = {kind: cycle_oracle(s, kind) for kind in CYCLE_KINDS}
+                want[K.J], want[K.WSTAR] = j_oracle(s), wstar_oracle(s)
+                want[K.PN], want[K.PA], want[K.PS] = brute_force_perm_all(s)
+                for kind in ALL_KINDS:
+                    assert together[kind][b] == want[kind], (k, n, kind, b)
+
+
 def test_ps_offset_requires_k2():
     with pytest.raises(ValueError):
         ps_offset(1, 3)

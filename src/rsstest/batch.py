@@ -8,12 +8,14 @@ The independent oracles the tests and `verify` compare it with are
 and `statistics.brute_force_perm_all` (the n^k enumeration).
 
 J, Wstar and PA are sums of `cell_shares` over the cells; the per-slot
-counts below every cell come from one argsort per sample.
+counts below every cell come from one argsort per sample.  A PA share
+convolves only the shorter tail of the cell's rank distribution, and
+none at all for the first and last slots.
 
 Results are exact integers on every grid.  Rank counts (within-cycle
 ranks, J, Wstar) are at most k * (kn)^2 and stay int64; the per-slot
 counts below a cell are at most n and stay int32.  The scaled
-quantities (PN, PS and the PA convolution) grow like n^k * k^3;
+quantities (PN, PS and PA's shorter-tail convolution) grow like n^k * k^3;
 `_accumulator` decides from (k, n) alone whether they fit in int64, and
 where they do not the same code runs with Python-int (object)
 accumulators instead of wrapping.
@@ -124,9 +126,11 @@ def cell_shares(
       PA     n^(k-1) * E|1 + sum_{i!=s} Bernoulli(counts_i/n) - (s+1)|
 
     The PA share is the cell's rank discrepancy summed over the random
-    recombinations, where its rank is 1 plus one Bernoulli per other slot;
-    the pmf numerators over n^(k-1) are convolved in `acc` integers.  J
-    and Wstar shares are int64.
+    recombinations, where its rank is 1 plus one Bernoulli per other slot.
+    Its mean part is linear in the counts, so only the shorter tail of
+    the rank distribution is convolved: min(s, k-1-s) pmf numerators over
+    n^(k-1), in `acc` integers, which makes the end slots s = 0 and
+    s = k-1 closed-form.  J and Wstar shares are int64.
     """
     kind = StatisticKind(kind)
     if kind is StatisticKind.J:
@@ -136,14 +140,27 @@ def cell_shares(
     if kind is not StatisticKind.PA:
         raise ValueError(f"no per-cell share for {kind.value}")
     k = counts.shape[-1]
-    below = counts.astype(acc)
-    pmf = np.zeros(counts.shape[:-1] + (k,), dtype=acc)
-    pmf[..., 0] = 1
-    for i in range(k):
-        if i != s:
-            m = below[..., i, None]
-            nxt = pmf * (n - m)
-            nxt[..., 1:] += pmf[..., :-1] * m
-            pmf = nxt
-    weights = np.abs(np.arange(k, dtype=np.int64) - s).astype(acc, copy=False)
-    return (pmf * weights).sum(axis=-1)
+    # |X - s| = |Z - t| with Z the Bernoulli sum towards the nearer end
+    # (Z = X, or Z = k-1-X with success counts n - counts_i) and t its
+    # distance; |Z - t| = (Z - t) + 2 (t - Z)+ needs only P(Z < t).
+    t = min(s, k - 1 - s)
+    total = counts.sum(axis=-1, dtype=np.int64) - counts[..., s]
+    base = counts
+    if t < s:
+        total = (k - 1) * n - total
+        base = n - counts
+    share = total.astype(acc) * n ** max(k - 2, 0) - t * n ** (k - 1)
+    if t:
+        # pmf[j]: n^(k-1) P(Z = j) for j < t, one array per j, built by
+        # folding in one Bernoulli(base_i / n) per slot i != s
+        lead = counts.shape[:-1]
+        pmf = [np.ones(lead, dtype=acc)] + [np.zeros(lead, dtype=acc)] * (t - 1)
+        for i in range(k):
+            if i != s:
+                m = base[..., i].astype(acc)
+                q = n - m
+                for j in range(t - 1, 0, -1):
+                    pmf[j] = pmf[j] * q + pmf[j - 1] * m
+                pmf[0] = pmf[0] * q
+        share += 2 * sum((t - j) * p for j, p in enumerate(pmf))
+    return share

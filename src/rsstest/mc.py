@@ -47,10 +47,8 @@ def run_chunks(
 
     Chunk c gets the generator of stream (seed, base + c) and keeps the
     first `take` of its replicates: CHUNK_SIZE in every chunk but the
-    last, which keeps the rest.  `one_chunk` draws a full CHUNK_SIZE
-    before cutting to `take`, so a stream is consumed the same way
-    whatever `reps` is.  With `threads` > 1 the chunks run on a thread
-    pool, which changes no result.
+    last, which keeps the rest.  With `threads` > 1 the chunks run on a
+    thread pool, which changes no result.
     """
     n_chunks = -(-reps // CHUNK_SIZE)
 
@@ -71,7 +69,13 @@ def mc_null_distributions(
     seed: int,
     threads: int = 1,
 ) -> dict[StatisticKind, NullDistribution]:
-    """Empirical null distributions of several statistics in one pass."""
+    """Empirical null distributions of several statistics in one pass.
+
+    Each chunk draws only the `take` perfect-model samples it uses.  Those
+    are the first `take` rows of a full CHUNK_SIZE draw from the same
+    stream, so the result does not depend on how `reps` splits into
+    chunks; the two could differ only if a tie regeneration fired.
+    """
     if reps < 1:
         raise ValueError("reps must be at least 1")
     kinds = tuple(dict.fromkeys(kinds))
@@ -79,7 +83,7 @@ def mc_null_distributions(
     def one_chunk(
         rng: np.random.Generator, take: int
     ) -> dict[StatisticKind, tuple[np.ndarray, np.ndarray]]:
-        cells = draw_cells(_PERFECT, "uniform", k, n, CHUNK_SIZE, rng)[:take]
+        cells = draw_cells(_PERFECT, "uniform", k, n, take, rng)
         stats = evaluate_batch(cells, kinds)
         return {kind: np.unique(arr, return_counts=True) for kind, arr in stats.items()}
 

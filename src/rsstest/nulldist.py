@@ -15,6 +15,7 @@ Serialisation is a small versioned JSON document with probabilities as
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -112,9 +113,12 @@ class NullDistribution:
             raise ValueError("support and probs must be parallel and non-empty")
         if any(b <= a for a, b in zip(self.support, self.support[1:])):
             raise ValueError("support must be strictly increasing")
-        if any(p <= 0 for p in self.probs):
+        if any(p.numerator <= 0 for p in self.probs):
             raise ValueError("probabilities must be positive")
-        if sum(self.probs) != 1:
+        # summed over a common denominator: adding Fractions one at a time
+        # reduces by a gcd at every step
+        common = math.lcm(*(p.denominator for p in self.probs))
+        if sum(p.numerator * (common // p.denominator) for p in self.probs) != common:
             raise ValueError("probabilities must sum to exactly 1")
         lo, hi = statistic_range(self.kind, self.k, self.n)
         if self.support[0] < lo or self.support[-1] > hi:

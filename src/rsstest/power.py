@@ -259,7 +259,11 @@ def estimate_power(
 
     Precomputed `null_dists` (e.g. reloaded from disk) are used as-is
     after a compatibility check; otherwise they are built per the
-    study's null-source policy.
+    study's null-source policy.  Every chunk draws a full CHUNK_SIZE of
+    samples and rejection uniforms before cutting to `take`, so a stream
+    is consumed the same way whatever `reps` is: the fraction models draw
+    their mixing uniforms after all the comparison sets, so a shorter
+    draw would not be a prefix of the full one.
     """
     if null_dists is None:
         null_dists = resolve_null_distributions(study, threads=threads)

@@ -31,6 +31,7 @@ from rsstest import (
     run_test,
     substream,
 )
+from rsstest.mc import CHUNK_SIZE
 
 from conftest import make_sample, random_sample
 
@@ -69,6 +70,14 @@ def test_distribution_validation():
         NullDistribution(K.N_SUM, 2, 1, (0, 1), (Fraction(1, 2), Fraction(1, 3)), Provenance("exact"))
     with pytest.raises(ValueError, match="range"):
         NullDistribution(K.N_SUM, 2, 1, (0, 7), (Fraction(1, 2), Fraction(1, 2)), Provenance("exact"))
+    positive = "^probabilities must be positive$"
+    with pytest.raises(ValueError, match=positive):
+        NullDistribution(K.N_SUM, 2, 1, (0, 1), (Fraction(0), Fraction(1)), Provenance("exact"))
+    with pytest.raises(ValueError, match=positive):
+        NullDistribution(K.N_SUM, 2, 1, (0, 1), (Fraction(-1, 2), Fraction(3, 2)), Provenance("exact"))
+    near_one = (Fraction(1, 2), Fraction(1, 2) + Fraction(1, 10**30))
+    with pytest.raises(ValueError, match="^probabilities must sum to exactly 1$"):
+        NullDistribution(K.N_SUM, 2, 1, (0, 1), near_one, Provenance("exact"))
 
 
 def test_provenance_validation():
@@ -338,6 +347,20 @@ def test_mc_distribution_free_under_monotone_transform(monkeypatch):
     for kind in kinds:
         assert plain[kind].support == scaled[kind].support
         assert plain[kind].probs == scaled[kind].probs
+
+
+def test_mc_null_draws_only_the_replicates_it_keeps(monkeypatch):
+    # a short last chunk draws `take` samples, not a full CHUNK_SIZE
+    sizes = []
+    draw = rsstest.mc.draw_cells
+
+    def recording_draw(model, population, k, n, size, rng):
+        sizes.append(size)
+        return draw(model, population, k, n, size, rng)
+
+    monkeypatch.setattr(rsstest.mc, "draw_cells", recording_draw)
+    mc_null_distributions((K.PA,), 3, 3, 2 * CHUNK_SIZE + 5, seed=1)
+    assert sizes == [CHUNK_SIZE, CHUNK_SIZE, 5]
 
 
 def test_k2_equivalent_statistics_decide_identically():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,7 @@ from rsstest import (
     statistic_range,
     substream,
 )
-from rsstest.batch import evaluate_batch
+from rsstest.batch import cell_shares, evaluate_batch
 from rsstest.mc import CHUNK_SIZE
 from rsstest.statistics import MAX_KINDS, SUM_KINDS, tuple_discrepancies
 from rsstest.streams import NULL_STREAM_BASE
@@ -64,6 +66,40 @@ def wstar_oracle(s: RssSample) -> int:
 # ---------------------------------------------------------------------------
 # per-cycle statistics and aggregates
 # ---------------------------------------------------------------------------
+
+
+def pa_share_oracle(s: int, counts: np.ndarray, n: int) -> list[int]:
+    """n^(k-1) E|X - s| for each count vector, X the sum of one
+    Bernoulli(counts_i / n) per slot i != s: the 2^(k-1) outcomes of the
+    other slots, weighted by counts_i or n - counts_i, summed in Python ints."""
+    out = []
+    for c in counts.tolist():
+        others = c[:s] + c[s + 1 :]
+        total = 0
+        for hits in itertools.product((0, 1), repeat=len(others)):
+            weight = 1
+            for hit, ci in zip(hits, others):
+                weight *= ci if hit else n - ci
+            total += weight * abs(sum(hits) - s)
+        out.append(total)
+    return out
+
+
+def pa_oracle(s: RssSample) -> int:
+    """PA cell by cell: count the cells of every other slot below the cell
+    by direct comparison, convolve the full pmf of the number of them a
+    recombination puts below it, and weight by the rank discrepancy."""
+    rows, n = s.values, s.n
+    total = 0
+    for slot, row in enumerate(rows):
+        for v in row:
+            pmf = [1]
+            for i, other in enumerate(rows):
+                if i != slot:
+                    m = sum(1 for w in other if w < v)
+                    pmf = [a * (n - m) + b * m for a, b in zip(pmf + [0], [0] + pmf)]
+            total += sum(p * abs(j - slot) for j, p in enumerate(pmf))
+    return total
 
 
 def test_per_cycle_perfect_order_is_zero():
@@ -197,6 +233,28 @@ def test_batch_matches_oracles_for_each_requested_kind():
                     assert together[kind][b] == want[kind], (k, n, kind, b)
 
 
+def test_pa_share_matches_its_definition_on_every_count_vector():
+    # k = 6 is the first k whose upper tail needs two pmf entries
+    for k in range(1, 7):
+        for n in range(1, 4):
+            counts = np.array(list(itertools.product(range(n + 1), repeat=k)), dtype=np.int32)
+            for s in range(k):
+                want = pa_share_oracle(s, counts, n)
+                for acc in (np.int64, object):
+                    got = cell_shares(K.PA, s, counts, n, acc)
+                    assert got.dtype == acc, (k, n, s, acc)
+                    assert got.tolist() == want, (k, n, s, acc)
+                    if acc is object:
+                        assert all(type(v) is int for v in got.tolist()), (k, n, s)
+
+
+@pytest.mark.parametrize("k,n,b", [(6, 2, 16), (7, 2, 16), (8, 2, 16), (6, 3, 8)])
+def test_batch_pa_matches_enumeration_past_k5(k, n, b):
+    cells = draw_cells(ImperfectModel("perfect"), "uniform", k, n, b, substream(10 * k + n, 1))
+    got = evaluate_batch(cells, [K.PA])[K.PA]
+    assert got.tolist() == [brute_force_perm_all(make_sample(c))[1] for c in cells]
+
+
 def test_ps_offset_requires_k2():
     with pytest.raises(ValueError):
         ps_offset(1, 3)
@@ -286,8 +344,8 @@ def test_from_tag_round_trip_and_error():
 
 def check_closed_forms(cells: np.ndarray) -> None:
     """Every sample of a (B, k, n) batch against the from-definition oracles:
-    per-cycle kinds via `tuple_discrepancies`, J and Wstar directly, and
-    PN and PS through their identities, all in Python ints."""
+    per-cycle kinds via `tuple_discrepancies`, J, Wstar and PA directly,
+    and PN and PS through their identities, all in Python ints."""
     _, k, n = cells.shape
     got = evaluate_batch(cells, ALL_KINDS)
     for b, sample_cells in enumerate(cells):
@@ -297,6 +355,7 @@ def check_closed_forms(cells: np.ndarray) -> None:
         want[K.WSTAR] = wstar_oracle(s)
         want[K.PN] = n ** (k - 2) * want[K.J]
         want[K.PS] = ps_offset(k, n) - 2 * n ** (k - 2) * want[K.WSTAR]
+        want[K.PA] = pa_oracle(s)
         for kind, value in want.items():
             assert got[kind][b] == value, kind
         lo, hi = statistic_range(K.PA, k, n)

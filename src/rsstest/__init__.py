@@ -19,7 +19,7 @@ from .errors import (
 )
 from .exact import DEFAULT_EXACT_CELL_CAP, OPT_IN_EXACT_CELL_CAP, exact_distributions
 from .mc import (
-    exact_route,
+    NullSource,
     mc_null_distribution,
     mc_null_distributions,
     null_distributions_for,
@@ -46,7 +46,6 @@ from .nulldist import (
 )
 from .power import (
     ComparisonReport,
-    NullSource,
     PowerCell,
     PowerStudy,
     PowerTable,

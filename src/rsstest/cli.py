@@ -28,10 +28,10 @@ from pathlib import Path
 
 from .errors import DataValidationError, RssError
 from .exact import DEFAULT_EXACT_CELL_CAP
-from .mc import exact_route, null_distributions_for
+from .mc import NullSource, null_distributions_for
 from .models import ImperfectModel
 from .nulldist import as_exact_probability, critical_value, format_probability, run_test
-from .power import NullSource, PowerStudy, compare_tests, estimate_power
+from .power import PowerStudy, compare_tests, estimate_power
 from .sample import parse_csv
 from .statistics import StatisticKind
 from .streams import TEST_STREAM_BASE, fresh_seed, substream
@@ -166,7 +166,6 @@ def build_parser() -> _Parser:
     p_verify = sub.add_parser("verify", parents=[common], help="run the identity self-checks")
     p_verify.add_argument("--seed", type=int, default=0, help="seed for the random instances (default %(default)s)")
     p_verify.add_argument("--instances", type=_positive_int, default=200, help="number of random samples (default %(default)s)")
-    p_verify.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
 
     return parser
 
@@ -221,6 +220,11 @@ def _resolve_seed(value: int | None) -> tuple[int, bool]:
     return fresh_seed(), True
 
 
+def _null_source(args: argparse.Namespace) -> NullSource:
+    """The null policy of `--null`, `--null-reps`, `--null-seed` and `--exact-cap`."""
+    return NullSource(NULL_FLAGS[args.null], args.null_reps, args.null_seed, args.exact_cap)
+
+
 def _cmd_test(args: argparse.Namespace) -> int:
     if args.layout is None:
         raise UsageError("--layout is required (cycles-as-rows or cycles-as-columns)")
@@ -233,15 +237,12 @@ def _cmd_test(args: argparse.Namespace) -> int:
     kind = StatisticKind.from_tag(args.stat)
     alpha = as_exact_probability(args.alpha)
 
-    method = NULL_FLAGS[args.null]
-    use_exact = exact_route(method, sample.k, sample.n, args.exact_cap)
-    needs_seed = args.randomized or (not use_exact and args.null_seed is None)
+    source = _null_source(args)
+    needs_seed = args.randomized or (
+        source.seed is None and not source.is_exact(sample.k, sample.n)
+    )
     seed, seed_generated = _resolve_seed(args.seed) if needs_seed else (args.seed, False)
-    dist = null_distributions_for(
-        [kind], sample.k, sample.n, exact_cap=args.exact_cap, mc_reps=args.null_reps,
-        mc_seed=seed if args.null_seed is None else args.null_seed,
-        threads=args.threads, method=method,
-    )[kind]
+    dist = null_distributions_for([kind], sample.k, sample.n, source, seed, args.threads)[kind]
 
     rng = substream(seed, TEST_STREAM_BASE) if args.randomized else None
     result = run_test(sample, kind, dist, alpha, randomized=args.randomized, rng=rng)
@@ -294,26 +295,20 @@ def _cmd_null_table(args: argparse.Namespace) -> int:
 
     kind = StatisticKind.from_tag(args.stat)
     alphas = [(text, as_exact_probability(text)) for text in args.alphas]
-    seed_needed = any(
-        not exact_route("auto", k, n, args.exact_cap) for k in args.k_grid for n in args.n_grid
-    )
-    seed, seed_generated = (
-        _resolve_seed(args.seed) if seed_needed else (args.seed, False)
-    )
+    source = NullSource("auto", args.reps, None, args.exact_cap)
+    mc_grids = [(k, n) for k in args.k_grid for n in args.n_grid if not source.is_exact(k, n)]
+    seed, seed_generated = _resolve_seed(args.seed) if mc_grids else (args.seed, False)
 
     rows = []
     for k in args.k_grid:
         for n in args.n_grid:
-            if not exact_route("auto", k, n, args.exact_cap):
+            if (k, n) in mc_grids:
                 print(
                     f"note: {k}x{n} exceeds the exact cap of {args.exact_cap} cells; "
                     f"using Monte Carlo with reps={args.reps}",
                     file=sys.stderr,
                 )
-            dist = null_distributions_for(
-                [kind], k, n, exact_cap=args.exact_cap, mc_reps=args.reps, mc_seed=seed,
-                threads=args.threads,
-            )[kind]
+            dist = null_distributions_for([kind], k, n, source, seed, args.threads)[kind]
             for alpha_text, alpha in alphas:
                 crit = critical_value(dist, alpha)
                 rows.append(
@@ -396,12 +391,7 @@ def _cmd_power(args: argparse.Namespace) -> int:
         reps=args.reps,
         seed=seed,
         population=args.population,
-        null=NullSource(
-            method=NULL_FLAGS[args.null],
-            reps=args.null_reps,
-            seed=args.null_seed,
-            exact_cells_cap=args.exact_cap,
-        ),
+        null=_null_source(args),
     )
     table = estimate_power(study, threads=args.threads)
 
@@ -427,7 +417,7 @@ def _cmd_power(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    report = run_verification(seed=args.seed, instances=args.instances, corrupt=args.corrupt)
+    report = run_verification(seed=args.seed, instances=args.instances)
     _emit(args, report.render_text())
     return EXIT_OK if report.passed else EXIT_REJECT
 

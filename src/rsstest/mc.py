@@ -8,21 +8,23 @@ in one run shares the simulated samples, which is both cheaper and
 harmless: each statistic's marginal null distribution is what the tables
 need.
 
-`exact_route` and `null_distributions_for` hold the package's one
-null-source policy, exact engine or Monte Carlo; the CLI and power studies
-resolve every null through them.
+`NullSource` is the package's one null policy, exact engine or Monte
+Carlo: `NullSource.is_exact(k, n)` picks the route and
+`null_distributions_for(kinds, k, n, source, seed)` builds the nulls.  The
+CLI and power studies resolve every null through them.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, TypeVar
 
 import numpy as np
 
 from .batch import evaluate_batch
-from .errors import ExactEngineCapError
+from .errors import DataValidationError, ExactEngineCapError
 from .exact import DEFAULT_EXACT_CELL_CAP, OPT_IN_EXACT_CELL_CAP
 from .models import ImperfectModel, draw_cells
 from .nulldist import NullDistribution, Provenance, exact_null_distribution
@@ -121,39 +123,61 @@ def mc_null_distribution(
     return mc_null_distributions([kind], k, n, reps, seed, threads=threads)[kind]
 
 
-def exact_route(
-    method: str, k: int, n: int, exact_cap: int = DEFAULT_EXACT_CELL_CAP
-) -> bool:
-    """Whether `method` resolves a k x n null exactly: "auto" does when kn
-    fits `exact_cap`; a forced "exact" above the cap is refused."""
-    if method not in NULL_METHODS:
-        raise ValueError(f"unknown null method {method!r}; expected one of {NULL_METHODS}")
-    fits = k * n <= exact_cap
-    if method == "exact" and not fits:
-        raise ExactEngineCapError(
-            f"exact null for a {k}x{n} grid needs kn={k * n} <= the exact cap of {exact_cap}; "
-            f"raise the cap (up to {OPT_IN_EXACT_CELL_CAP}) or use a Monte Carlo null"
-        )
-    return method == "exact" or (method == "auto" and fits)
+@dataclass(frozen=True)
+class NullSource:
+    """Where null distributions come from.
+
+    "auto" is exact for grids of at most `exact_cells_cap` cells and Monte
+    Carlo with `reps` replicates otherwise; "exact" and "monte-carlo" force
+    one route.  A Monte Carlo null uses `seed`, or the caller's seed when
+    `seed` is None.
+    """
+
+    method: str = "auto"
+    reps: int = 1_000_000
+    seed: int | None = None
+    exact_cells_cap: int = DEFAULT_EXACT_CELL_CAP
+
+    def __post_init__(self) -> None:
+        if self.method not in NULL_METHODS:
+            raise DataValidationError(
+                f"unknown null method {self.method!r}; expected one of {NULL_METHODS}"
+            )
+        if self.reps < 1:
+            raise DataValidationError(f"null reps must be at least 1, got {self.reps}")
+
+    def is_exact(self, k: int, n: int) -> bool:
+        """Whether a k x n null is exact; a forced "exact" above the cap is refused."""
+        fits = k * n <= self.exact_cells_cap
+        if self.method == "exact" and not fits:
+            raise ExactEngineCapError(
+                f"exact null for a {k}x{n} grid needs kn={k * n} <= the exact cap of "
+                f"{self.exact_cells_cap}; raise the cap (up to {OPT_IN_EXACT_CELL_CAP}) "
+                "or use a Monte Carlo null"
+            )
+        return self.method == "exact" or (self.method == "auto" and fits)
 
 
 def null_distributions_for(
     kinds: Iterable[StatisticKind],
     k: int,
     n: int,
-    exact_cap: int = DEFAULT_EXACT_CELL_CAP,
-    mc_reps: int = 1_000_000,
-    mc_seed: int | None = None,
+    source: NullSource = NullSource(),
+    seed: int | None = None,
     threads: int = 1,
-    method: str = "auto",
 ) -> dict[StatisticKind, NullDistribution]:
-    """Null distributions of `kinds`, in request order, routed by `exact_route`."""
+    """Null distributions of `kinds`, in request order, per `source`.
+
+    `seed` seeds a Monte Carlo null only when `source.seed` is None.
+    """
     kinds = tuple(dict.fromkeys(kinds))
-    if exact_route(method, k, n, exact_cap):
+    if source.is_exact(k, n):
         return {
-            kind: exact_null_distribution(kind, k, n, max_cells=exact_cap)
+            kind: exact_null_distribution(kind, k, n, max_cells=source.exact_cells_cap)
             for kind in kinds
         }
-    if mc_seed is None:
+    if source.seed is not None:
+        seed = source.seed
+    if seed is None:
         raise ValueError(f"a Monte Carlo null for a {k}x{n} grid needs a seed")
-    return mc_null_distributions(kinds, k, n, mc_reps, mc_seed, threads=threads)
+    return mc_null_distributions(kinds, k, n, source.reps, seed, threads=threads)

@@ -11,10 +11,11 @@ Grid point i runs on `mc.run_chunks`, which holds the chunk layout, from
 stream base POWER_STREAM_BASE + i * 2^20; each chunk draws its boundary
 uniforms right after its cells.  So estimates are reproducible and
 independent of the worker count.  Null critical values come from
-`mc.null_distributions_for`, which holds the package's one
-exact-versus-Monte-Carlo policy (`mc.exact_route`); a Monte Carlo null
-defaults to the study seed, and its stream indices are disjoint from the
-power stream indices by construction.
+`mc.null_distributions_for(kinds, k, n, source, seed)` with the study's
+`mc.NullSource`, the package's one exact-versus-Monte-Carlo policy
+(`NullSource.is_exact`); a Monte Carlo null defaults to the study seed,
+and its stream indices are disjoint from the power stream indices by
+construction.
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ import numpy as np
 
 from .batch import evaluate_batch
 from .errors import DataValidationError
-from .exact import DEFAULT_EXACT_CELL_CAP
-from .mc import CHUNK_SIZE, NULL_METHODS, null_distributions_for, run_chunks
+from .mc import CHUNK_SIZE, NullSource, null_distributions_for, run_chunks
 from .models import ImperfectModel, Population, draw_cells, resolve_population
 from .nulldist import NullDistribution, Provenance, as_exact_probability, critical_value
 from .statistics import StatisticKind, is_lower_tail
@@ -39,26 +39,6 @@ from .streams import POWER_STREAM_BASE
 
 POWER_TABLE_FORMAT = "rsstest-power-table/1"
 _LAMBDA_STRIDE = 1 << 20  # max chunks per grid point
-
-
-@dataclass(frozen=True)
-class NullSource:
-    """Where a power study's null distributions come from.
-
-    `method`, `exact_cells_cap`, `reps` and `seed` feed
-    `mc.null_distributions_for`: "auto" is exact for grids of at most
-    `exact_cells_cap` cells and Monte Carlo with `reps` replicates
-    otherwise; "exact" and "monte-carlo" force one route.
-    """
-
-    method: str = "auto"
-    reps: int = 1_000_000
-    seed: int | None = None
-    exact_cells_cap: int = DEFAULT_EXACT_CELL_CAP
-
-    def __post_init__(self) -> None:
-        if self.method not in NULL_METHODS:
-            raise DataValidationError(f"unknown null source {self.method!r}")
 
 
 @dataclass(frozen=True)
@@ -242,12 +222,7 @@ def resolve_null_distributions(
 ) -> Mapping[StatisticKind, NullDistribution]:
     """Build the study's null distributions per its null source; a Monte
     Carlo null without its own seed uses the study seed."""
-    src = study.null
-    return null_distributions_for(
-        study.kinds, study.k, study.n, exact_cap=src.exact_cells_cap, mc_reps=src.reps,
-        mc_seed=study.seed if src.seed is None else src.seed,
-        threads=threads, method=src.method,
-    )
+    return null_distributions_for(study.kinds, study.k, study.n, study.null, study.seed, threads)
 
 
 def estimate_power(
@@ -426,7 +401,6 @@ def power_tables_equal(a: PowerTable, b: PowerTable) -> bool:
 
 __all__ = [
     "ComparisonReport",
-    "NullSource",
     "PairVerdict",
     "PowerCell",
     "PowerStudy",

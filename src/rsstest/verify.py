@@ -73,14 +73,8 @@ def random_sample(rng: np.random.Generator, k: int, n: int) -> RssSample:
             return RssSample(tuple(tuple(float(v) for v in row) for row in values))
 
 
-def run_verification(
-    seed: int = 0, instances: int = 200, corrupt: bool = False
-) -> VerificationReport:
-    """Run every identity check on `instances` seeded random samples.
-
-    `corrupt` deliberately mis-evaluates one PA instance so harness
-    failures are detectable end to end.
-    """
+def run_verification(seed: int = 0, instances: int = 200) -> VerificationReport:
+    """Run every identity check on `instances` seeded random samples."""
     if instances < 1:
         raise ValueError(f"instances must be at least 1, got {instances}")
     rng = substream(seed, 0)
@@ -93,11 +87,9 @@ def run_verification(
     checks = []
 
     bad = 0
-    for idx, s in enumerate(samples):
+    for s in samples:
         pn, pa, ps = brute_force_perm_all(s)
         kernel_pn, kernel_pa, kernel_ps = (evaluate(s, kind) for kind in PERM_KINDS)
-        if corrupt and idx == 0:
-            kernel_pa += 1
         j, wstar = evaluate(s, StatisticKind.J), evaluate(s, StatisticKind.WSTAR)
         scale = s.n ** (s.k - 2)
         if kernel_pa != pa:

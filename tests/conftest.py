@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from rsstest import RssSample
+import rsstest.verify
+from rsstest import RssSample, StatisticKind
 
 
 def make_sample(rows) -> RssSample:
@@ -25,3 +26,15 @@ def random_sample(rng: np.random.Generator, k: int, n: int) -> RssSample:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20260808)
+
+
+@pytest.fixture
+def off_by_one_pa(monkeypatch):
+    """Make the self-checks see every PA value one too high, as a broken kernel would."""
+    kernel = rsstest.verify.evaluate
+
+    def evaluate(sample, kind):
+        value = kernel(sample, kind)
+        return value + 1 if kind is StatisticKind.PA else value
+
+    monkeypatch.setattr(rsstest.verify, "evaluate", evaluate)

@@ -131,6 +131,19 @@ def test_cmd_test_mc_null(inverted_csv, capsys):
     assert "monte-carlo" in out
 
 
+def test_cmd_test_mc_null_seed_falls_back_to_master_seed(inverted_csv, capsys):
+    argv = ["test", "--stat", "PA", "--layout", "cycles-as-rows", "--null", "mc",
+            "--null-reps", "2000", "--seed", "9", "--format", "json", str(inverted_csv)]
+    main(argv)
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["null"]["method"] == "monte-carlo"
+    assert doc["null"]["seed"] == 9
+    main(argv + ["--null-seed", "4"])
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["null"]["seed"] == 4
+    assert doc["cli"]["seed"] == 9
+
+
 # ---------------------------------------------------------------------------
 # null-table subcommand
 # ---------------------------------------------------------------------------
@@ -197,6 +210,16 @@ def test_cmd_null_table_csv_and_json(tmp_path, capsys):
                  "--alphas", "0.05", "--format", "csv"])
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "kind,k,n,alpha,cv,attained_level,gamma,boundary,provenance"
+
+
+def test_cmd_null_table_exact_grids_need_no_seed(capsys):
+    code = main(["null-table", "--stat", "PA", "--k", "2", "--n", "2..3",
+                 "--alphas", "0.05", "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == EXIT_OK
+    config = json.loads(captured.out)["config"]
+    assert config["seed"] is None and config["seed_generated"] is False
+    assert "exceeds the exact cap" not in captured.err
 
 
 def test_cmd_null_table_requires_grids(capsys):
@@ -268,9 +291,10 @@ def test_cmd_verify_ok(capsys):
     assert "all checks passed" in capsys.readouterr().out
 
 
-def test_cmd_verify_corrupt_fails(capsys):
-    code = main(["verify", "--seed", "1", "--instances", "10", "--corrupt"])
-    assert code != EXIT_OK
+def test_cmd_verify_corrupt_fails(off_by_one_pa, capsys):
+    code = main(["verify", "--seed", "1", "--instances", "10"])
+    assert code == EXIT_REJECT
+    assert "FAIL" in capsys.readouterr().out
 
 
 def test_cmd_verify_seeded_rerun_identical(capsys):

@@ -11,11 +11,13 @@ import rsstest.mc
 from rsstest import (
     ALL_KINDS,
     Decision,
+    DataValidationError,
     DistributionMismatchError,
     ExactEngineCapError,
     GeneratorConfig,
     ImperfectModel,
     NullDistribution,
+    NullSource,
     Provenance,
     StatisticKind,
     as_exact_probability,
@@ -23,7 +25,6 @@ from rsstest import (
     evaluate,
     exact_distributions,
     exact_null_distribution,
-    exact_route,
     generate,
     mc_null_distribution,
     mc_null_distributions,
@@ -389,16 +390,16 @@ def test_k2_equivalent_statistics_decide_identically():
 # ---------------------------------------------------------------------------
 
 
-def test_exact_route_policy():
-    assert exact_route("auto", 2, 4, 8)
-    assert not exact_route("auto", 3, 3, 8)
-    assert exact_route("auto", 3, 3, 9)
-    assert exact_route("exact", 2, 2, 8)
-    assert not exact_route("monte-carlo", 2, 2, 8)
+def test_null_source_is_exact_policy():
+    assert NullSource("auto", exact_cells_cap=8).is_exact(2, 4)
+    assert not NullSource("auto", exact_cells_cap=8).is_exact(3, 3)
+    assert NullSource("auto", exact_cells_cap=9).is_exact(3, 3)
+    assert NullSource("exact", exact_cells_cap=8).is_exact(2, 2)
+    assert not NullSource("monte-carlo", exact_cells_cap=8).is_exact(2, 2)
     with pytest.raises(ExactEngineCapError, match="cap"):
-        exact_route("exact", 3, 3, 8)
-    with pytest.raises(ValueError, match="null method"):
-        exact_route("mc", 2, 2, 8)
+        NullSource("exact", exact_cells_cap=8).is_exact(3, 3)
+    with pytest.raises(DataValidationError, match="null method"):
+        NullSource("mc")
 
 
 def test_null_distributions_for_routes_and_keeps_request_order():
@@ -406,9 +407,12 @@ def test_null_distributions_for_routes_and_keeps_request_order():
     exact = null_distributions_for(kinds, 2, 2)
     assert list(exact) == [K.WSTAR, K.PA, K.J]
     assert exact[K.PA] == exact_null_distribution(K.PA, 2, 2)
-    mc = null_distributions_for(kinds, 2, 2, mc_reps=2000, mc_seed=5, method="monte-carlo")
+    mc = null_distributions_for(kinds, 2, 2, NullSource("monte-carlo", reps=2000), seed=5)
     assert list(mc) == [K.WSTAR, K.PA, K.J]
     assert mc[K.PA] == mc_null_distribution(K.PA, 2, 2, 2000, seed=5)
+    # the source's own seed wins over the caller's
+    own = null_distributions_for(kinds, 2, 2, NullSource("monte-carlo", 2000, seed=5), seed=6)
+    assert own == mc
     with pytest.raises(ValueError, match="seed"):
         null_distributions_for(kinds, 3, 3)
 

@@ -76,6 +76,17 @@ def test_unknown_population_is_refused():
         PowerTable.from_json_dict(doc)
 
 
+@pytest.mark.parametrize("reps", [0, -5])
+def test_null_source_refuses_no_reps(reps):
+    with pytest.raises(DataValidationError, match="null reps"):
+        NullSource(reps=reps)
+    # a reloaded table is checked too, even on a grid with an exact null
+    doc = estimate_power(small_study(reps=100)).to_json_dict()
+    doc["study"]["null"]["reps"] = reps
+    with pytest.raises(DataValidationError, match="null reps"):
+        PowerTable.from_json_dict(doc)
+
+
 def test_concomitant_forces_normal_population():
     study = small_study(model_tag="concomitant", lambda_grid=(0.5, 1.0))
     assert study.population == "normal"

@@ -20,10 +20,10 @@ def test_verification_deterministic():
     assert a == b
 
 
-def test_verification_catches_corruption():
-    report = run_verification(seed=3, instances=20, corrupt=True)
+def test_verification_catches_corruption(off_by_one_pa):
+    report = run_verification(seed=3, instances=20)
     assert not report.passed
-    assert "FAIL" in report.render_text()
+    assert "[FAIL] enumeration identities" in report.render_text()
 
 
 @pytest.mark.parametrize("instances", [0, -4])

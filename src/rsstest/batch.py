@@ -10,7 +10,10 @@ and `statistics.brute_force_perm_all` (the n^k enumeration).
 J, Wstar and PA are sums of `cell_shares` over the cells; the per-slot
 counts below every cell come from one argsort per sample.  A PA share
 convolves only the shorter tail of the cell's rank distribution, and
-none at all for the first and last slots.
+none at all for the first and last slots.  The other eight statistics
+are derived as `statistics` defines them: PN and PS through
+`affine_base` from J and Wstar, and each cycle kind through `CYCLE_OF`
+from the within-cycle N, A and S, the k x 1 values of PN, PA and PS.
 
 Results are exact integers on every grid.  Rank counts (within-cycle
 ranks, J, Wstar) are at most k * (kn)^2 and stay int64; the per-slot
@@ -27,10 +30,9 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .statistics import MAX_KINDS, SUM_KINDS, StatisticKind, ps_offset
+from .statistics import CYCLE_OF, SUM_KINDS, StatisticKind, affine_base, ps_offset
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
-_BASE = {StatisticKind.PN: StatisticKind.J, StatisticKind.PS: StatisticKind.WSTAR}
 
 
 def _accumulator(k: int, n: int) -> type:
@@ -58,40 +60,37 @@ def evaluate_batch(
     vals = np.asarray(values, dtype=np.float64)
     if vals.ndim != 3:
         raise ValueError("values must have shape (batch, k, n)")
-    b, k, n = vals.shape
+    _, k, n = vals.shape
     kinds = tuple(dict.fromkeys(StatisticKind(kind) for kind in kinds))
     acc = _accumulator(k, n)
     out: dict[StatisticKind, np.ndarray] = {}
 
-    need = set(kinds)
-    need_cycles = need & (set(SUM_KINDS) | set(MAX_KINDS))
-    need_cross = need - need_cycles  # J, Wstar and the three PERM_KINDS
-
-    if need_cycles:
+    cycle_kinds = [kind for kind in kinds if kind in CYCLE_OF]
+    if cycle_kinds:
         # gt[b, i, j, l]: slot-i value above slot-j value within cycle l
         gt = vals[:, :, None, :] > vals[:, None, :, :]
         pair_mask = np.triu(np.ones((k, k), dtype=bool), 1)
-        n_cyc = np.einsum("bijl,ij->bl", gt, pair_mask, dtype=np.int64)
         ranks = 1 + gt.sum(axis=2, dtype=np.int64)
         dev = ranks - np.arange(1, k + 1, dtype=np.int64)[None, :, None]
-        a_cyc = np.abs(dev).sum(axis=1)
-        s_cyc = (dev * dev).sum(axis=1)
-        cyc = {"N": n_cyc, "A": a_cyc, "S": s_cyc}
-        for kind in need_cycles:
-            series = cyc[kind.value[0]]
+        per_cycle = {  # each cycle's PN, PA and PS as a k x 1 grid
+            StatisticKind.PN: np.einsum("bijl,ij->bl", gt, pair_mask, dtype=np.int64),
+            StatisticKind.PA: np.abs(dev).sum(axis=1),
+            StatisticKind.PS: (dev * dev).sum(axis=1),
+        }
+        for kind in cycle_kinds:
+            series = per_cycle[CYCLE_OF[kind]]
             out[kind] = series.sum(axis=1) if kind in SUM_KINDS else series.max(axis=1)
 
-    if need_cross:
-        # PN and PS are pushforwards of J and Wstar
+    affine = {kind: affine_base(kind, k, n) for kind in kinds if kind not in CYCLE_OF}
+    if affine:
         below = _below_counts(vals)
-        for kind in {_BASE.get(kind, kind) for kind in need_cross}:
-            out[kind] = sum(cell_shares(kind, s, below[:, s], n, acc).sum(axis=1) for s in range(k))
-        scale = n ** max(k - 2, 0)  # J is 0 for k = 1, where every recombination is sorted
-        if StatisticKind.PN in need:
-            out[StatisticKind.PN] = scale * out[StatisticKind.J].astype(acc, copy=False)
-        if StatisticKind.PS in need:
-            scaled = 2 * scale * out[StatisticKind.WSTAR].astype(acc, copy=False)
-            out[StatisticKind.PS] = ps_offset(k, n) - scaled if k >= 2 else np.zeros(b, np.int64)
+        totals = {
+            base: sum(cell_shares(base, s, below[:, s], n, acc).sum(axis=1) for s in range(k))
+            for base in {base for base, _, _ in affine.values()}
+        }
+        for kind, (base, scale, offset) in affine.items():
+            total = totals[base]
+            out[kind] = total if base is kind else offset + scale * total.astype(acc, copy=False)
 
     return {kind: out[kind] for kind in kinds}
 

@@ -17,11 +17,13 @@ keeps integer coefficients (via falling factorials) and integrating from
 0 to t is a pure index shift.  At the full state (n, ..., n) each
 probability is (n!)^k * sum_d a_d (k^2 n)!/d! over (k^2 n)!.
 
-The other eight statistics follow from these three pmfs: PN = n^(k-2) J
-and PS = ps_offset - 2 n^(k-2) Wstar (both 0 for k = 1); the per-cycle
-N, A and S are PN, PA and PS of the k x 1 grid, and as the n cycles are
-i.i.d., each *_sum pmf is the n-fold convolution of the per-cycle pmf and
-each *_max pmf is F(v)^n - F(v-)^n.
+The other eight statistics follow from these three pmfs by the rules
+`statistics` holds, read by `_pmf`: PN and PS are pushed forward from J
+and Wstar through `affine_base`, and each cycle kind's per-cycle pmf is
+the k x 1 pmf of its `CYCLE_OF` kind.  As the n cycles are i.i.d., each
+*_sum pmf is the n-fold convolution of the per-cycle pmf and each *_max
+pmf is F(v)^n - F(v-)^n.  `_pmf` caches every pmf it builds, per
+(k, n, statistic).
 
 The engine refuses grids above `max_cells` (kn <= 8 by default, kn <= 10
 as an explicit opt-in, never more) and points callers at the Monte Carlo
@@ -41,7 +43,7 @@ import numpy as np
 
 from .batch import cell_shares
 from .errors import ExactEngineCapError
-from .statistics import StatisticKind, ps_offset
+from .statistics import CYCLE_OF, SUM_KINDS, StatisticKind, affine_base
 
 DEFAULT_EXACT_CELL_CAP = 8
 OPT_IN_EXACT_CELL_CAP = 10
@@ -63,28 +65,21 @@ def exact_distributions(
             f"cap of {cap} (max_cells opts in up to {OPT_IN_EXACT_CELL_CAP}; beyond "
             "that use mc_null_distribution)"
         )
-    return {kind: dict(pmf) for kind, pmf in _exact_pmfs(k, n).items()}
+    return {kind: dict(_pmf(k, n, kind)) for kind in K}
 
 
 @lru_cache(maxsize=None)
-def _exact_pmfs(k: int, n: int) -> Mapping[StatisticKind, Pmf]:
-    pmfs = {K.J: _count_dp(k, n, K.J), K.WSTAR: _count_dp(k, n, K.WSTAR)}
-    pmfs[K.PN], pmfs[K.PA], pmfs[K.PS] = _perm_pmfs(k, n)
-    for tag, cycle in zip("NAS", _perm_pmfs(k, 1)):
-        pmfs[K(f"{tag}_sum")] = _sum_of_iid(cycle, n)
-        pmfs[K(f"{tag}_max")] = _max_of_iid(cycle, n)
-    return {kind: pmfs[kind] for kind in K}
-
-
-def _perm_pmfs(k: int, n: int) -> tuple[Pmf, Pmf, Pmf]:
-    """PN, PA and PS pmfs, the first and last pushed forward from J and Wstar."""
-    pa = _count_dp(k, n, K.PA)
-    if k == 1:  # every recombined sample is sorted
-        return {0: Fraction(1)}, pa, {0: Fraction(1)}
-    scale, offset = n ** (k - 2), ps_offset(k, n)
-    pn = {scale * v: p for v, p in _count_dp(k, n, K.J).items()}
-    ps = {offset - 2 * scale * v: p for v, p in _count_dp(k, n, K.WSTAR).items()}
-    return pn, pa, dict(sorted(ps.items()))
+def _pmf(k: int, n: int, kind: StatisticKind) -> Pmf:
+    """The exact pmf of one statistic, derived as `statistics` defines it."""
+    if kind in CYCLE_OF:
+        cycle = _pmf(k, 1, CYCLE_OF[kind])
+        return _sum_of_iid(cycle, n) if kind in SUM_KINDS else _max_of_iid(cycle, n)
+    base, scale, offset = affine_base(kind, k, n)
+    if base is kind:
+        return _count_dp(k, n, kind)
+    # one-to-one unless scale is 0, which happens only for k = 1, where
+    # the base J or Wstar has a single atom
+    return dict(sorted((offset + scale * v, p) for v, p in _pmf(k, n, base).items()))
 
 
 def _sum_of_iid(pmf: Pmf, n: int) -> Pmf:

@@ -129,7 +129,7 @@ class NullSource:
 
     "auto" is exact for grids of at most `exact_cells_cap` cells and Monte
     Carlo with `reps` replicates otherwise; "exact" and "monte-carlo" force
-    one route.  A Monte Carlo null uses `seed`, or the caller's seed when
+    one route.  The cap must lie in 0..OPT_IN_EXACT_CELL_CAP.  A Monte Carlo null uses `seed`, or the caller's seed when
     `seed` is None.
     """
 
@@ -145,6 +145,11 @@ class NullSource:
             )
         if self.reps < 1:
             raise DataValidationError(f"null reps must be at least 1, got {self.reps}")
+        if not 0 <= self.exact_cells_cap <= OPT_IN_EXACT_CELL_CAP:
+            raise DataValidationError(
+                f"exact cap must lie in 0..{OPT_IN_EXACT_CELL_CAP}, got {self.exact_cells_cap}: "
+                f"the exact engine stops at a cap of {OPT_IN_EXACT_CELL_CAP} cells"
+            )
 
     def is_exact(self, k: int, n: int) -> bool:
         """Whether a k x n null is exact; a forced "exact" above the cap is refused."""
@@ -152,8 +157,9 @@ class NullSource:
         if self.method == "exact" and not fits:
             raise ExactEngineCapError(
                 f"exact null for a {k}x{n} grid needs kn={k * n} <= the exact cap of "
-                f"{self.exact_cells_cap}; raise the cap (up to {OPT_IN_EXACT_CELL_CAP}) "
-                "or use a Monte Carlo null"
+                f"{self.exact_cells_cap}; "
+                + (f"raise the cap to {k * n} or " if k * n <= OPT_IN_EXACT_CELL_CAP else "")
+                + "use a Monte Carlo null"
             )
         return self.method == "exact" or (self.method == "auto" and fits)
 

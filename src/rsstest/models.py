@@ -17,8 +17,12 @@ up being measured for rank slot i:
                    smallest of the same set (clamped at the ends)
                    replaces the i-th.
 
-Draw order per batch is fixed and documented on `draw_cells`, so any
-seeded stream reproduces the same cells regardless of callers.  The
+`_draw_once` makes the slot choice in one place: it picks, per cell, the
+index of the set member to measure (slot i, its mirror k-1-i, or a
+neighbour clamped to 0..k-1) and reads every cell with one gather,
+`_pick`; the random model then swaps in its fresh draws.  Draw order per
+batch is fixed and documented on `draw_cells`, so any seeded stream
+reproduces the same cells regardless of callers.  The
 all-cells-distinct requirement is enforced by regenerating offending
 replicates (a probability-zero event under continuous populations);
 regenerations are counted in `tie_regeneration_count`.
@@ -40,7 +44,6 @@ ModelTag = Literal["perfect", "concomitant", "random", "inverse", "neighbor"]
 Population = Literal["uniform", "normal"]
 
 MODEL_TAGS = ("perfect", "concomitant", "random", "inverse", "neighbor")
-FRACTION_TAGS = ("random", "inverse", "neighbor")
 
 tie_regeneration_count = 0
 
@@ -138,7 +141,8 @@ def draw_cells(
     Stream layout, in order, all of fixed shape so a chunk's draws depend
     only on the stream: comparison sets (size, k, n, k) [pairs of normal
     blocks for concomitant], then for fraction models the mixing uniforms
-    (size, k, n), then for the random model the fresh draws (size, k, n).
+    (size, k, n), then for the random model the fresh draws (size, k, n),
+    which are uniforms at lam = 0 whatever the population.
     Replicates containing tied cells are redrawn from the same stream.
     """
     cells = _draw_once(model, population, k, n, size, rng)
@@ -162,59 +166,41 @@ def _draw_once(
     size: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    slots = np.arange(k)
+    # every cell reads one slot of its own comparison set: slot i, or the
+    # slot the model swaps in for it
+    idx = np.arange(k)[None, :, None]
 
     if model.tag == "concomitant":
         companion = rng.standard_normal((size, k, n, k))
         noise = rng.standard_normal((size, k, n, k))
         lam = model.lam
         primary = lam * companion + math.sqrt(1.0 - lam * lam) * noise
-        # pick, per set, the primary value whose companion has rank i
-        order = np.argsort(companion, axis=-1)
-        pick = np.take_along_axis(
-            order, np.broadcast_to(slots[None, :, None, None], (size, k, n, 1)), axis=3
-        )
-        return np.take_along_axis(primary, pick, axis=3)[..., 0]
+        # the primary value whose companion has rank i
+        return _pick(primary, _pick(np.argsort(companion, axis=-1), idx))
 
-    if population == "normal":
-        sets = rng.standard_normal((size, k, n, k))
-    else:
-        sets = rng.random((size, k, n, k))
-    sets = np.sort(sets, axis=-1)
-    base_idx = np.broadcast_to(slots[None, :, None, None], (size, k, n, 1))
-    cells = np.take_along_axis(sets, base_idx, axis=3)[..., 0]
-    if model.tag == "perfect" or model.lam == 0.0:
-        if model.tag == "random":
-            rng.random((size, k, n))  # keep the stream layout fixed
-            rng.random((size, k, n))
-        elif model.tag in FRACTION_TAGS:
-            rng.random((size, k, n))
-        return cells
+    draw = rng.standard_normal if population == "normal" else rng.random
+    sets = np.sort(draw((size, k, n, k)), axis=-1)
+    if model.tag == "perfect":
+        return _pick(sets, idx)
 
     mix = rng.random((size, k, n))
     lam = model.lam
-    if model.tag == "random":
-        fresh = (
-            rng.standard_normal((size, k, n))
-            if population == "normal"
-            else rng.random((size, k, n))
-        )
-        return np.where(mix < lam, fresh, cells)
     if model.tag == "inverse":
-        alt_idx = np.broadcast_to((k - 1 - slots)[None, :, None, None], (size, k, n, 1))
-        alt = np.take_along_axis(sets, alt_idx, axis=3)[..., 0]
-        return np.where(mix < lam, alt, cells)
-    if model.tag == "neighbor":
-        lower_idx = np.broadcast_to(
-            np.maximum(slots - 1, 0)[None, :, None, None], (size, k, n, 1)
-        )
-        upper_idx = np.broadcast_to(
-            np.minimum(slots + 1, k - 1)[None, :, None, None], (size, k, n, 1)
-        )
-        lower = np.take_along_axis(sets, lower_idx, axis=3)[..., 0]
-        upper = np.take_along_axis(sets, upper_idx, axis=3)[..., 0]
-        return np.where(mix < lam / 2, lower, np.where(mix < lam, upper, cells))
-    raise DataValidationError(f"unknown model tag {model.tag!r}")  # pragma: no cover
+        idx = np.where(mix < lam, k - 1 - idx, idx)
+    elif model.tag == "neighbor":
+        step = np.where(mix < lam / 2, -1, np.where(mix < lam, 1, 0))
+        idx = np.clip(idx + step, 0, k - 1)
+    cells = _pick(sets, idx)
+    if model.tag == "random":
+        # at lam = 0 the fresh block is drawn as uniforms whatever the population
+        fresh = (draw if lam > 0.0 else rng.random)((size, k, n))
+        cells = np.where(mix < lam, fresh, cells)
+    return cells
+
+
+def _pick(sets: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """sets[..., idx] per cell: `idx` broadcasts against the (size, k, n) cells."""
+    return np.take_along_axis(sets, idx[..., None], axis=-1)[..., 0]
 
 
 def _tied_rows(cells: np.ndarray) -> np.ndarray:

@@ -18,17 +18,17 @@ all are invariant under strictly increasing transforms of the values.
 This module defines the statistics and holds their defining
 computations: `tuple_discrepancies` for one cycle or one recombined
 sample, and `brute_force_perm_all`, the n^k enumeration of PN, PA and
-PS.  `evaluate` computes any statistic through the one kernel,
-`batch.evaluate_batch`, which avoids the enumeration with two exact
-identities,
+PS.  It also holds, once, how eight statistics follow from J, Wstar
+and PA, for the kernel (`batch.evaluate_batch`), the exact engine and
+`statistic_range` to read:
 
-  PN = n^(k-2) * J
-  PS = ps_offset(k, n) - 2 * n^(k-2) * Wstar,
+  CYCLE_OF     N, A and S of one cycle are its PN, PA and PS as a k x 1
+               grid, summed or maximised over the cycles;
+  affine_base  PN = n^(k-2) * J and PS = ps_offset(k, n) - 2 * n^(k-2) * Wstar.
 
-and for PA a per-cell convolution of the Bernoulli indicators of the
-other slots lying below the cell (its rank in a random recombination is
-1 plus that sum).  The test suite and `verify` check the kernel against
-the defining computations with integer equality.
+`evaluate` computes any statistic through the kernel; the test suite
+and `verify` check it against the defining computations with integer
+equality, using their own copies of the two identities.
 """
 
 from __future__ import annotations
@@ -134,6 +134,26 @@ def ps_offset(k: int, n: int) -> int:
     )
 
 
+# each cycle kind's per-cycle discrepancy is the k x 1 value of a recombination kind
+CYCLE_OF = dict(zip(SUM_KINDS + MAX_KINDS, PERM_KINDS * 2))
+
+
+def affine_base(kind: StatisticKind, k: int, n: int) -> tuple[StatisticKind, int, int]:
+    """(base, scale, offset) with kind = offset + scale * base on a k x n grid.
+
+    J, Wstar and PA are their own base.  For k = 1 every recombined sample
+    is sorted, so PN and PS have scale 0 and offset 0.
+    """
+    scale = n ** (k - 2) if k >= 2 else 0
+    if kind is StatisticKind.PN:
+        return StatisticKind.J, scale, 0
+    if kind is StatisticKind.PS:
+        return StatisticKind.WSTAR, -2 * scale, ps_offset(k, n) if k >= 2 else 0
+    if kind in (StatisticKind.J, StatisticKind.WSTAR, StatisticKind.PA):
+        return kind, 1, 0
+    raise ValueError(f"{kind.value} is a per-cycle statistic; see CYCLE_OF")
+
+
 def evaluate(sample: RssSample, kind: StatisticKind) -> int:
     """Evaluate any statistic on one sample, as an exact Python int.
 
@@ -146,32 +166,25 @@ def evaluate(sample: RssSample, kind: StatisticKind) -> int:
     return int(evaluate_batch([sample.values], (kind,))[kind][0])
 
 
-def _cycle_maxima(k: int) -> tuple[int, int, int]:
-    return k * (k - 1) // 2, k * k // 2, k * (k * k - 1) // 3
-
-
 def statistic_range(kind: StatisticKind, k: int, n: int) -> tuple[int, int]:
-    """Inclusive integer bounds of a statistic's support on a k x n grid."""
-    nmax, amax, smax = _cycle_maxima(k)
-    if kind in MAX_KINDS or n == 1 and kind in SUM_KINDS:
-        hi = {"N": nmax, "A": amax, "S": smax}[kind.value[0]]
-        return 0, hi
-    if kind in SUM_KINDS:
-        hi = {"N": nmax, "A": amax, "S": smax}[kind.value[0]]
-        return 0, n * hi
+    """Inclusive integer bounds of a statistic's support on a k x n grid.
+
+    Each bound is attained: by the sample whose slots are fully in order
+    and by the one whose slots are fully reversed.
+    """
+    if kind in CYCLE_OF:
+        lo, hi = statistic_range(CYCLE_OF[kind], k, 1)
+        return (lo, hi) if kind in MAX_KINDS else (n * lo, n * hi)
+    base, scale, offset = affine_base(kind, k, n)
+    if base is not kind:
+        lo, hi = sorted(offset + scale * v for v in statistic_range(base, k, n))
+        return lo, hi
     if kind is StatisticKind.J:
         return 0, k * (k - 1) // 2 * n * n
-    if kind in PERM_KINDS:
-        hi = {
-            StatisticKind.PN: nmax,
-            StatisticKind.PA: amax,
-            StatisticKind.PS: smax,
-        }[kind]
-        return 0, n**k * hi
-    if kind is StatisticKind.WSTAR:
-        weights = [j for j in range(1, k + 1) for _ in range(n)]
-        ranks = list(range(1, k * n + 1))
-        lo = sum(w * r for w, r in zip(weights, reversed(ranks)))
-        hi = sum(w * r for w, r in zip(weights, ranks))
-        return lo, hi
-    raise ValueError(f"unhandled statistic {kind!r}")  # pragma: no cover
+    if kind is StatisticKind.PA:
+        return 0, n**k * (k * k // 2)
+    weights = [j for j in range(1, k + 1) for _ in range(n)]
+    ranks = list(range(1, k * n + 1))
+    lo = sum(w * r for w, r in zip(weights, reversed(ranks)))
+    hi = sum(w * r for w, r in zip(weights, ranks))
+    return lo, hi

@@ -394,6 +394,19 @@ def test_exact_cap_above_opt_in_ceiling_is_refused(tmp_path, capsys):
     assert "cap of 10" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cap", ["11", "-1", "10"])
+def test_exact_null_refusal_never_offers_an_impossible_cap(tmp_path, cap, capsys):
+    # a cap outside 0..10 is refused when the null policy is built; at the
+    # ceiling, a 5x4 grid is refused without advice to raise the cap
+    path = tmp_path / "five_by_four.csv"
+    path.write_text("\n".join(",".join(str(10 * l + i) for i in range(5)) for l in range(4)))
+    code = main(["test", "--layout", "cycles-as-rows", "--null", "exact",
+                 "--exact-cap", cap, str(path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_DATA
+    assert "cap of 10" in err and "raise the cap" not in err
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert main(["test", "--help"]) == 0

@@ -234,14 +234,14 @@ def test_cap_refusal_names_alternative():
 
 def test_cap_never_exceeds_opt_in_ceiling():
     # a larger max_cells is refused at once, before any work
-    from rsstest.exact import _exact_pmfs
+    from rsstest.exact import _pmf
 
-    misses = _exact_pmfs.cache_info().misses
+    misses = _pmf.cache_info().misses
     start = time.perf_counter()
     with pytest.raises(ExactEngineCapError, match="cap of 10"):
         exact_distributions(3, 4, max_cells=12)
     assert time.perf_counter() - start < 1.0
-    assert _exact_pmfs.cache_info().misses == misses
+    assert _pmf.cache_info().misses == misses
 
 
 def test_opt_in_cap_allows_nine_cells():

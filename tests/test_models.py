@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -248,3 +249,46 @@ def test_concomitant_negated_correlation_is_negated_sample():
     # and the asymmetry itself is real: +lam and -lam differ far beyond noise
     s_raw = evaluate_batch(plus, [K.PA])[K.PA]
     assert sm.mean() - s_raw.mean() > 10 * se
+
+# ---------------------------------------------------------------------------
+# pinned draw streams
+# ---------------------------------------------------------------------------
+
+# sha256 prefixes of a 64-replicate 3x4 draw_cells block followed by the
+# next rng.random(4), all from substream(5, 0).  Any change to what a model
+# draws, in what order, or how much of the stream it consumes moves them.
+# The perfect model ignores its parameter; inverse and neighbor coincide
+# at lambda 0.
+DRAW_STREAM_PINS = {
+    ("perfect", "uniform", 0.0): "d0228d24ddfd2b1d",
+    ("perfect", "normal", 0.0): "23d2513623fd6535",
+    ("concomitant", "normal", -0.5): "09225716adf901d9",
+    ("concomitant", "normal", 0.0): "8eed55da232d40bb",
+    ("concomitant", "normal", 0.5): "2349ce09bfb0a80f",
+    ("random", "uniform", 0.0): "569d87c141ff4885",
+    ("random", "uniform", 0.5): "ab9fbcd3ebc51ce6",
+    ("random", "uniform", 1.0): "3260088b099484bc",
+    ("random", "normal", 0.0): "e284be00bd684bfb",
+    ("random", "normal", 0.5): "c64ddc38512aceb0",
+    ("random", "normal", 1.0): "1f4a5b7ba73c6b21",
+    ("inverse", "uniform", 0.0): "d8e83da7a20c795e",
+    ("inverse", "uniform", 0.5): "c139b915a149446e",
+    ("inverse", "uniform", 1.0): "eb0ff5c69ce864fb",
+    ("inverse", "normal", 0.0): "6961fbb33c76c33f",
+    ("inverse", "normal", 0.5): "7afb8d118eecd92e",
+    ("inverse", "normal", 1.0): "016aafaf5322dd97",
+    ("neighbor", "uniform", 0.0): "d8e83da7a20c795e",
+    ("neighbor", "uniform", 0.5): "8f8ed57e1b661228",
+    ("neighbor", "uniform", 1.0): "64cb397b23fedc49",
+    ("neighbor", "normal", 0.0): "6961fbb33c76c33f",
+    ("neighbor", "normal", 0.5): "922fe31a86d4ab61",
+    ("neighbor", "normal", 1.0): "75d24c498294dc22",
+}
+
+
+@pytest.mark.parametrize("tag,population,lam", list(DRAW_STREAM_PINS))
+def test_draw_streams_are_pinned(tag, population, lam):
+    rng = substream(5, 0)
+    cells = draw_cells(ImperfectModel(tag, lam), population, 3, 4, 64, rng)
+    digest = hashlib.sha256(cells.tobytes() + rng.random(4).tobytes()).hexdigest()
+    assert digest[:16] == DRAW_STREAM_PINS[tag, population, lam]

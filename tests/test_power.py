@@ -87,6 +87,16 @@ def test_null_source_refuses_no_reps(reps):
         PowerTable.from_json_dict(doc)
 
 
+@pytest.mark.parametrize("cap", [11, -1])
+def test_null_source_refuses_cap_outside_engine_range(cap):
+    with pytest.raises(DataValidationError, match="cap of 10"):
+        NullSource(exact_cells_cap=cap)
+    doc = estimate_power(small_study(reps=100)).to_json_dict()
+    doc["study"]["null"]["exact_cells_cap"] = cap
+    with pytest.raises(DataValidationError, match="cap of 10"):
+        PowerTable.from_json_dict(doc)
+
+
 def test_concomitant_forces_normal_population():
     study = small_study(model_tag="concomitant", lambda_grid=(0.5, 1.0))
     assert study.population == "normal"

@@ -325,6 +325,27 @@ def test_values_within_ranges(rng):
             assert 0 <= ds <= k * (k * k - 1) // 3
 
 
+def oracle_values(s: RssSample) -> dict[StatisticKind, int]:
+    """All eleven statistics from the defining computations alone."""
+    pn, pa, ps = brute_force_perm_all(s)
+    values = {kind: cycle_oracle(s, kind) for kind in CYCLE_KINDS}
+    values.update({K.PN: pn, K.PA: pa, K.PS: ps, K.J: j_oracle(s), K.WSTAR: wstar_oracle(s)})
+    return values
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+@pytest.mark.parametrize("n", range(1, 5))
+def test_statistic_range_is_attained(k, n):
+    # every slot below the next is perfect ranking, every slot above it is
+    # the full reversal: each bound is one of their values, so a loosened
+    # bound fails here even when every sample still lies inside it
+    nested = np.arange(k * n, dtype=float).reshape(k, n)
+    low, high = oracle_values(make_sample(nested)), oracle_values(make_sample(nested[::-1]))
+    for kind in ALL_KINDS:
+        want = (high[kind], low[kind]) if kind is K.WSTAR else (low[kind], high[kind])
+        assert statistic_range(kind, k, n) == want, kind
+
+
 def test_tail_direction():
     assert is_lower_tail(K.WSTAR)
     assert not any(is_lower_tail(kind) for kind in ALL_KINDS if kind is not K.WSTAR)

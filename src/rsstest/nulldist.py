@@ -6,7 +6,8 @@ engine, or counts/reps from Monte Carlo.  Critical values follow the
 randomized-test construction: reject outright at or beyond the critical
 value, and on the next atom inside reject with probability gamma, chosen
 so the test's size is exactly alpha.  Every statistic rejects in its
-upper tail except Wstar, which rejects low.
+upper tail except Wstar, which rejects low.  `CriticalValues.rejects`
+states that rule once; `run_test`, `power` and `verify` all apply it.
 
 Serialisation is a small versioned JSON document with probabilities as
 "numerator/denominator" strings, so saved tables reload bit-exactly.
@@ -212,6 +213,16 @@ class CriticalValues:
     attained_level: Fraction
     gamma: Fraction
     boundary: int | None
+    tail: str  # "upper" | "lower", the null distribution's
+
+    def rejects(self, t, u=None):
+        """Whether the test rejects at `t`, an int or an int64/object array:
+        at or beyond cv, and given uniform(s) `u`, on the boundary atom
+        where u < gamma."""
+        reject = t <= self.cv if self.tail == "lower" else t >= self.cv
+        if u is not None and self.gamma > 0:
+            reject = reject | ((t == self.boundary) & (u < float(self.gamma)))
+        return reject
 
 
 def critical_value(dist: NullDistribution, alpha) -> CriticalValues:
@@ -228,28 +239,12 @@ def critical_value(dist: NullDistribution, alpha) -> CriticalValues:
     outward = -1 if dist.tail == "lower" else 1
     if outward == 1:
         atoms.reverse()
-    attained = Fraction(0)
-    inside = 0  # atoms in the outright rejection region
-    for _, p in atoms:
+    cv, attained = atoms[0][0] + outward, Fraction(0)
+    for value, p in atoms:
         if attained + p > level:
-            break
-        attained += p
-        inside += 1
-    if inside == 0:
-        edge, p_edge = atoms[0]
-        return CriticalValues(
-            cv=edge + outward, attained_level=Fraction(0), gamma=level / p_edge, boundary=edge
-        )
-    cv = atoms[inside - 1][0]
-    if inside == len(atoms):
-        return CriticalValues(cv=cv, attained_level=attained, gamma=Fraction(0), boundary=None)
-    boundary, p_boundary = atoms[inside]
-    return CriticalValues(
-        cv=cv,
-        attained_level=attained,
-        gamma=(level - attained) / p_boundary,
-        boundary=boundary,
-    )
+            return CriticalValues(cv, attained, (level - attained) / p, value, dist.tail)
+        cv, attained = value, attained + p
+    return CriticalValues(cv, attained, Fraction(0), None, dist.tail)
 
 
 class Decision(str, Enum):
@@ -273,9 +268,12 @@ class TestResult:
     gamma: Fraction
     boundary: int | None
     decision: Decision
-    tail: str
     randomized: bool
     provenance: Provenance
+
+    @property
+    def tail(self) -> str:
+        return "lower" if is_lower_tail(self.kind) else "upper"
 
     @property
     def is_rejection(self) -> bool:
@@ -311,7 +309,7 @@ class TestResult:
             raise DataValidationError(
                 f"not a {TEST_RESULT_FORMAT} document: {doc.get('format')!r}"
             )
-        return cls(
+        result = cls(
             kind=StatisticKind.from_tag(doc["kind"]),
             k=int(doc["k"]),
             n=int(doc["n"]),
@@ -323,10 +321,15 @@ class TestResult:
             gamma=Fraction(doc["gamma"]),
             boundary=None if doc["boundary"] is None else int(doc["boundary"]),
             decision=Decision(doc["decision"]),
-            tail=doc["tail"],
-            randomized=bool(doc["randomized"]),
+            randomized=doc["randomized"],
             provenance=Provenance.from_json_dict(doc["null"]),
         )
+        if doc["tail"] != result.tail or not isinstance(doc["randomized"], bool):
+            raise DataValidationError(
+                f"{result.kind.value} needs tail {result.tail!r} and a boolean randomized, "
+                f"not {doc['tail']!r} and {doc['randomized']!r}"
+            )
+        return result
 
     @classmethod
     def from_json(cls, text: str) -> "TestResult":
@@ -359,12 +362,11 @@ def run_test(
     observed = evaluate(sample, kind)
     p_value = dist.p_value(observed)
 
-    beyond = observed >= crit.cv if dist.tail == "upper" else observed <= crit.cv
-    if beyond:
+    if crit.rejects(observed):
         decision = Decision.REJECT
-    elif randomized and observed == crit.boundary and crit.gamma > 0:
-        u = rng.random()
-        decision = Decision.REJECT_RANDOMIZED if u < float(crit.gamma) else Decision.ACCEPT
+    elif randomized and crit.rejects(observed, 0.0):  # the boundary atom, gamma > 0
+        rejected = crit.rejects(observed, rng.random())
+        decision = Decision.REJECT_RANDOMIZED if rejected else Decision.ACCEPT
     else:
         decision = Decision.ACCEPT
 
@@ -380,7 +382,6 @@ def run_test(
         gamma=crit.gamma,
         boundary=crit.boundary,
         decision=decision,
-        tail=dist.tail,
         randomized=randomized,
         provenance=dist.provenance,
     )

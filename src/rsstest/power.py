@@ -5,12 +5,13 @@ of its parameter and applies the randomized test for every requested
 statistic to the *same* samples (common random numbers), sharing a single
 boundary-randomisation uniform per replicate.  That keeps comparisons
 between statistics low-variance and makes provably equivalent tests agree
-replicate by replicate.
+replicate by replicate.  Each decision is `CriticalValues.rejects`.
 
 Grid point i runs on `mc.run_chunks`, which holds the chunk layout, from
 stream base POWER_STREAM_BASE + i * 2^20; each chunk draws its boundary
 uniforms right after its cells.  So estimates are reproducible and
-independent of the worker count.  Null critical values come from
+independent of the worker count; `PowerStudy` refuses a study whose reps
+or grid overflow that layout.  Null critical values come from
 `mc.null_distributions_for(kinds, k, n, source, seed)` with the study's
 `mc.NullSource`, the package's one exact-versus-Monte-Carlo policy
 (`NullSource.is_exact`); a Monte Carlo null defaults to the study seed,
@@ -34,8 +35,8 @@ from .errors import DataValidationError
 from .mc import CHUNK_SIZE, NullSource, null_distributions_for, run_chunks
 from .models import ImperfectModel, Population, draw_cells, resolve_population
 from .nulldist import NullDistribution, Provenance, as_exact_probability, critical_value
-from .statistics import StatisticKind, is_lower_tail
-from .streams import POWER_STREAM_BASE
+from .statistics import StatisticKind
+from .streams import MODEL_STREAM_BASE, POWER_STREAM_BASE
 
 POWER_TABLE_FORMAT = "rsstest-power-table/1"
 _LAMBDA_STRIDE = 1 << 20  # max chunks per grid point
@@ -76,6 +77,10 @@ class PowerStudy:
             raise DataValidationError("alpha must lie strictly between 0 and 1")
         if self.reps < 1:
             raise DataValidationError("reps must be at least 1")
+        if self.reps > _LAMBDA_STRIDE * CHUNK_SIZE:
+            raise DataValidationError("reps beyond the supported stream layout")
+        if len(grid) > (MODEL_STREAM_BASE - POWER_STREAM_BASE) // _LAMBDA_STRIDE:
+            raise DataValidationError("parameter grid longer than the stream layout holds")
         object.__setattr__(self, "kinds", kinds)
         object.__setattr__(self, "lambda_grid", grid)
         object.__setattr__(self, "alpha", alpha)
@@ -251,23 +256,12 @@ def estimate_power(
             )
 
     crits = {kind: critical_value(null_dists[kind], study.alpha) for kind in study.kinds}
-    lower = {kind: is_lower_tail(kind) for kind in study.kinds}
-    if study.reps > _LAMBDA_STRIDE * CHUNK_SIZE:
-        raise DataValidationError("reps beyond the supported stream layout")
 
     def rejections(model: ImperfectModel, rng: np.random.Generator, take: int) -> list[int]:
         draws = draw_cells(model, study.population, study.k, study.n, CHUNK_SIZE, rng)
         u = rng.random(CHUNK_SIZE)[:take]
         stats = evaluate_batch(draws[:take], study.kinds)
-        counts = []
-        for kind in study.kinds:
-            crit = crits[kind]
-            t = stats[kind]
-            reject = t <= crit.cv if lower[kind] else t >= crit.cv
-            if crit.boundary is not None and crit.gamma > 0:
-                reject = reject | ((t == crit.boundary) & (u < float(crit.gamma)))
-            counts.append(int(reject.sum()))
-        return counts
+        return [int(crits[kind].rejects(stats[kind], u).sum()) for kind in study.kinds]
 
     cells = []
     for lam_idx, lam in enumerate(study.lambda_grid):

@@ -6,8 +6,9 @@ These are the internal consistency guarantees the package leans on:
     integer-exact, as do its PN and PS;
   * PN equals n^(k-2) * J;
   * PS equals ps_offset(k, n) - 2 * n^(k-2) * Wstar;
-  * for k = 2 the randomized PN, PA and PS tests decide identically on
-    every sample when they share the boundary draw;
+  * for k = 2 the randomized PN, PA, PS, J and Wstar tests decide
+    identically on every sample when they share the boundary draw, each
+    deciding through `CriticalValues.rejects` (Wstar in its lower tail);
   * every statistic is invariant under strictly increasing transforms.
 
 `run_verification` exercises all of them on seeded random samples,
@@ -125,7 +126,7 @@ def run_verification(seed: int = 0, instances: int = 200) -> VerificationReport:
         )
     )
 
-    collapse_kinds = (StatisticKind.PN, StatisticKind.PA, StatisticKind.PS)
+    collapse_kinds = (*PERM_KINDS, StatisticKind.J, StatisticKind.WSTAR)
     bad = 0
     count = 0
     for n in (2, 3, 4):
@@ -134,20 +135,13 @@ def run_verification(seed: int = 0, instances: int = 200) -> VerificationReport:
         for _ in range(max(instances // 10, 5)):
             s = random_sample(rng, 2, n)
             u = rng.random()
-            decisions = []
-            for kd in collapse_kinds:
-                t = evaluate(s, kd)
-                crit = crits[kd]
-                reject = t >= crit.cv or (
-                    t == crit.boundary and crit.gamma > 0 and u < float(crit.gamma)
-                )
-                decisions.append(reject)
+            decisions = {crits[kd].rejects(evaluate(s, kd), u) for kd in collapse_kinds}
             count += 1
-            if len(set(decisions)) != 1:
+            if len(decisions) != 1:
                 bad += 1
     checks.append(
         CheckResult(
-            name="k=2 collapse: PN/PA/PS randomized decisions coincide",
+            name="k=2 collapse: PN/PA/PS/J/Wstar randomized decisions coincide",
             passed=bad == 0,
             checked=count,
             detail="" if bad == 0 else f"{bad} disagreements",

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import rsstest.mc
@@ -154,6 +155,29 @@ def oracle_critical_value(dist, level):
     return cv, attained, (level - attained) / dist.prob_of(boundary), boundary
 
 
+def check_rejects_against_definition(dist, crit, want):
+    """`crit.rejects` at every support point and one step past each end:
+    outright rejection at or beyond cv with no uniform, the boundary atom
+    too when the uniform sits just below gamma, and outright only when it
+    equals gamma; the array call agrees with the scalar calls."""
+    cv, _, gamma, boundary = want
+    lower = dist.tail == "lower"
+    points = [dist.support[0] - 1, *dist.support, dist.support[-1] + 1]
+    just_below = float(np.nextafter(float(gamma), 0.0))
+    for u in (None, just_below, float(gamma)):
+        expected = []
+        for t in points:
+            beyond = t <= cv if lower else t >= cv
+            randomized = u is not None and u < float(gamma) and t == boundary
+            expected.append(beyond or randomized)
+        scalar = [bool(crit.rejects(t, u)) for t in points]
+        assert scalar == expected, (dist.kind, u)
+        for dtype in (np.int64, object):
+            ts = np.array(points, dtype=dtype)
+            us = None if u is None else np.full(len(points), u)
+            assert crit.rejects(ts, us).tolist() == scalar, (dist.kind, u, dtype)
+
+
 SMALL_GRIDS = [(k, n) for k in range(1, 7) for n in range(1, 7) if k * n <= 6]
 
 
@@ -172,8 +196,11 @@ def test_critical_value_matches_definition_at_every_atom(k, n):
                 if level > 1:
                     continue
                 crit = critical_value(dist, level)
+                want = oracle_critical_value(dist, level)
                 got = (crit.cv, crit.attained_level, crit.gamma, crit.boundary)
-                assert got == oracle_critical_value(dist, level), (kind, k, n, level)
+                assert got == want, (kind, k, n, level)
+                assert crit.tail == dist.tail
+                check_rejects_against_definition(dist, crit, want)
 
 
 def test_upper_and_lower_tails():
@@ -438,3 +465,19 @@ def test_test_result_json_round_trip():
     s = make_sample([[5, 6], [1, 2]])
     result = run_test(s, K.PA, exact_null_distribution(K.PA, 2, 2), "0.05")
     assert TestResult.from_json(result.to_json()) == result
+
+
+def test_test_result_reload_refuses_inconsistent_fields():
+    # tail follows from the kind and randomized must be a JSON boolean;
+    # a reload that contradicts either is refused, and JSON is unchanged
+    from rsstest import TestResult
+
+    s = make_sample([[5, 6], [1, 2]])
+    result = run_test(s, K.WSTAR, exact_null_distribution(K.WSTAR, 2, 2), "0.05")
+    assert result.tail == "lower"
+    text = result.to_json()
+    assert TestResult.from_json(text).to_json() == text
+    for key, bad in (("tail", "upper"), ("tail", "sideways"), ("randomized", "false"), ("randomized", 0)):
+        doc = result.to_json_dict() | {key: bad}
+        with pytest.raises(DataValidationError, match=key):
+            TestResult.from_json_dict(doc)

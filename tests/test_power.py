@@ -23,7 +23,7 @@ from rsstest.mc import CHUNK_SIZE, mc_null_distributions
 from rsstest.models import ImperfectModel, draw_cells
 from rsstest.nulldist import critical_value
 from rsstest.statistics import is_lower_tail
-from rsstest.streams import NULL_STREAM_BASE, POWER_STREAM_BASE, substream
+from rsstest.streams import MODEL_STREAM_BASE, NULL_STREAM_BASE, POWER_STREAM_BASE, substream
 
 K = StatisticKind
 
@@ -63,6 +63,15 @@ def test_study_validation():
         small_study(kinds=(K.PA, K.PA, K.J))
     with pytest.raises(DataValidationError, match="repeats"):
         small_study(lambda_grid=(0.5, 0.5))
+    # grid point i draws from stream POWER_STREAM_BASE + i * 2^20 + chunk,
+    # so reps fill at most 2^20 chunks and the grid ends below the model streams
+    with pytest.raises(DataValidationError, match="stream layout"):
+        small_study(reps=2**20 * CHUNK_SIZE + 1)
+    points = (MODEL_STREAM_BASE - POWER_STREAM_BASE) // 2**20
+    assert points == 4096
+    assert len(small_study(lambda_grid=tuple(i / points for i in range(points))).lambda_grid) == points
+    with pytest.raises(DataValidationError, match="stream layout"):
+        small_study(lambda_grid=tuple(i / (points + 1) for i in range(points + 1)))
 
 
 def test_unknown_population_is_refused():
@@ -196,9 +205,11 @@ def test_published_neighbor_row_reproduced():
 
 
 def test_k2_collapse_identical_rejections_per_replicate():
-    # PN, PA, PS are equivalent at k=2; common random numbers make the
-    # randomized decisions (and so the counts) exactly equal
-    study = small_study(kinds=(K.PN, K.PA, K.PS), reps=5000, lambda_grid=(0.0, 0.3))
+    # PN, PA, PS, J and Wstar (in its lower tail) are equivalent at k=2;
+    # common random numbers make the randomized decisions (and so the
+    # counts) exactly equal
+    kinds = (K.PN, K.PA, K.PS, K.J, K.WSTAR)
+    study = small_study(kinds=kinds, reps=5000, lambda_grid=(0.0, 0.3))
     table = estimate_power(study)
     for lam in study.lambda_grid:
         counts = {kind: table.cell(kind, lam).rejections for kind in study.kinds}

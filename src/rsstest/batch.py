@@ -7,13 +7,25 @@ The independent oracles the tests and `verify` compare it with are
 `statistics.tuple_discrepancies` (one cycle, or one recombined sample)
 and `statistics.brute_force_perm_all` (the n^k enumeration).
 
-J, Wstar and PA are sums of `cell_shares` over the cells; the per-slot
-counts below every cell come from one argsort per sample.  A PA share
-convolves only the shorter tail of the cell's rank distribution, and
-none at all for the first and last slots.  The other eight statistics
-are derived as `statistics` defines them: PN and PS through
-`affine_base` from J and Wstar, and each cycle kind through `CYCLE_OF`
-from the within-cycle N, A and S, the k x 1 values of PN, PA and PS.
+The kernel builds only the intermediates the requested kinds read:
+
+  N_sum, N_max   per-cycle slot pairs out of order (the k x 1 PN)
+  A_*, S_*       per-cycle rank minus slot (the k x 1 PA and PS)
+  Wstar, PS      overall ranks alone: Wstar is the sum over the sorted
+                 cells of slot weight times rank, and PS follows from it
+                 through `affine_base`
+  J, PN, PA      overall ranks and the per-slot counts below every cell
+
+Both per-cycle intermediates come from k slab comparisons of one slot's
+values with every slot's, within each cycle.  The overall ranks are one
+argsort per sample.  The counts are slot-major, `counts[i]` the slot-i
+cells below each cell, a running count along the sorted order gathered
+back to the cells; J and PA are sums of `cell_shares` over the cells, in
+the same axis convention.  A PA share convolves only the shorter tail of
+the cell's rank distribution, and none at all for the first and last
+slots.  The other eight statistics are derived as `statistics` defines
+them: PN and PS through `affine_base` from J and Wstar, and each cycle
+kind through `CYCLE_OF` from the within-cycle N, A and S.
 
 Results are exact integers on every grid.  Rank counts (within-cycle
 ranks, J, Wstar) are at most k * (kn)^2 and stay int64; the per-slot
@@ -60,34 +72,36 @@ def evaluate_batch(
     vals = np.asarray(values, dtype=np.float64)
     if vals.ndim != 3:
         raise ValueError("values must have shape (batch, k, n)")
-    _, k, n = vals.shape
+    b, k, n = vals.shape
     kinds = tuple(dict.fromkeys(StatisticKind(kind) for kind in kinds))
     acc = _accumulator(k, n)
     out: dict[StatisticKind, np.ndarray] = {}
 
     cycle_kinds = [kind for kind in kinds if kind in CYCLE_OF]
     if cycle_kinds:
-        # gt[b, i, j, l]: slot-i value above slot-j value within cycle l
-        gt = vals[:, :, None, :] > vals[:, None, :, :]
-        pair_mask = np.triu(np.ones((k, k), dtype=bool), 1)
-        ranks = 1 + gt.sum(axis=2, dtype=np.int64)
-        dev = ranks - np.arange(1, k + 1, dtype=np.int64)[None, :, None]
-        per_cycle = {  # each cycle's PN, PA and PS as a k x 1 grid
-            StatisticKind.PN: np.einsum("bijl,ij->bl", gt, pair_mask, dtype=np.int64),
-            StatisticKind.PA: np.abs(dev).sum(axis=1),
-            StatisticKind.PS: (dev * dev).sum(axis=1),
-        }
+        per_cycle = _per_cycle(vals, {CYCLE_OF[kind] for kind in cycle_kinds})
         for kind in cycle_kinds:
             series = per_cycle[CYCLE_OF[kind]]
             out[kind] = series.sum(axis=1) if kind in SUM_KINDS else series.max(axis=1)
 
     affine = {kind: affine_base(kind, k, n) for kind in kinds if kind not in CYCLE_OF}
     if affine:
-        below = _below_counts(vals)
-        totals = {
-            base: sum(cell_shares(base, s, below[:, s], n, acc).sum(axis=1) for s in range(k))
-            for base in {base for base, _, _ in affine.values()}
-        }
+        bases = {base for base, _, _ in affine.values()}
+        # order[b, p]: the cell of sample b with overall rank p + 1
+        order = np.argsort(vals.reshape(b, k * n), axis=1)
+        totals = {}
+        if StatisticKind.WSTAR in bases:
+            # slot weight times overall rank, summed in rank order
+            ranks = np.arange(1, k * n + 1, dtype=np.int64)
+            totals[StatisticKind.WSTAR] = (order // n + 1).dot(ranks)
+        count_bases = bases - {StatisticKind.WSTAR}
+        if count_bases:
+            counts = _below_counts(order, k, n)
+            for base in count_bases:
+                totals[base] = sum(
+                    cell_shares(base, s, counts[:, :, s * n : (s + 1) * n], n, acc).sum(axis=1)
+                    for s in range(k)
+                )
         for kind, (base, scale, offset) in affine.items():
             total = totals[base]
             out[kind] = total if base is kind else offset + scale * total.astype(acc, copy=False)
@@ -95,21 +109,62 @@ def evaluate_batch(
     return {kind: out[kind] for kind in kinds}
 
 
-def _below_counts(vals: np.ndarray) -> np.ndarray:
-    """below[b, s, c, i]: the slot-i cells of sample b that lie below cell (s, c).
+def _per_cycle(
+    vals: np.ndarray, bases: set[StatisticKind]
+) -> dict[StatisticKind, np.ndarray]:
+    """Each cycle's PN, PA and PS as a k x 1 grid, (B, n) each, for `bases`.
 
-    One argsort per sample orders its kn cells; a running count of the
-    slots met along that order, taken before each cell, is scattered back
-    to the cells.  Every count is at most n, so int32 holds it.
+    Slot j's values are compared with every slot's in one (B, k, n) slab:
+    the slab adds to each cell's within-cycle rank, and its first j rows
+    are slot pairs i < j out of order.
     """
     b, k, n = vals.shape
-    order = np.argsort(vals.reshape(b, k * n), axis=1)
-    met = (order // n)[:, :, None] == np.arange(k)
-    seen = np.cumsum(met, axis=1, dtype=np.int32)
-    seen -= met
-    below = np.empty_like(seen)
-    below[np.arange(b)[:, None], order] = seen
-    return below.reshape(b, k, n, k)
+    deviation = StatisticKind.PA in bases or StatisticKind.PS in bases
+    out = {}
+    if deviation:
+        # rank minus slot, both 1-based; each slab below adds to the rank
+        dev = np.empty((b, k, n), dtype=np.int64)
+        dev[:] = -np.arange(k)[:, None]
+    if StatisticKind.PN in bases:
+        out[StatisticKind.PN] = np.zeros((b, n), dtype=np.int64)
+    for j in range(k):
+        above = vals > vals[:, j : j + 1]
+        if deviation:
+            dev += above
+        if StatisticKind.PN in bases:
+            out[StatisticKind.PN] += above[:, :j].sum(axis=1)
+    if StatisticKind.PA in bases:
+        out[StatisticKind.PA] = np.abs(dev).sum(axis=1)
+    if StatisticKind.PS in bases:
+        out[StatisticKind.PS] = (dev * dev).sum(axis=1)
+    return out
+
+
+def _below_counts(order: np.ndarray, k: int, n: int) -> np.ndarray:
+    """counts[i, b, c]: the slot-i cells of sample b that lie below its cell c.
+
+    Slot-major, from each sample's cell order: per slot, a running count
+    of its cells met along the order is gathered back to the cells, and
+    the slot's own cells, each counted at itself, take one off.  Every
+    count is at most n, so int32 holds it.
+    """
+    b, kn = order.shape
+    slot = order // n
+    # position[b, c] as a flat index into a (B, kn) array: where cell c
+    # of sample b sits in its order
+    position = np.empty_like(order)
+    position[np.arange(b)[:, None], order] = np.arange(kn)
+    position += np.arange(0, b * kn, kn)[:, None]
+    counts = np.empty((k, b, kn), dtype=np.int32)
+    met = np.empty((b, kn), dtype=bool)
+    seen = np.empty((b, kn), dtype=np.int32)
+    for i in range(k):
+        np.equal(slot, i, out=met)
+        np.cumsum(met, axis=1, dtype=np.int32, out=seen)
+        # every position is in range; the default mode="raise" would buffer out
+        np.take(seen, position, out=counts[i], mode="wrap")
+        counts[i, :, i * n : (i + 1) * n] -= 1
+    return counts
 
 
 def cell_shares(
@@ -117,8 +172,8 @@ def cell_shares(
 ) -> np.ndarray:
     """What a slot-s cell adds to J, Wstar or PA, given the counts below it.
 
-    `counts[..., i]` counts the slot-i cells below the cell (slots 0-based,
-    n cells a slot, k = counts.shape[-1], any leading shape):
+    `counts[i, ...]` counts the slot-i cells below the cell (slots 0-based,
+    n cells a slot, k = counts.shape[0], any trailing shape):
 
       J      sum_{i>s} counts_i              (higher-slot cells it lies above)
       Wstar  (s+1) * (sum counts + 1)        (slot weight times overall rank)
@@ -133,17 +188,17 @@ def cell_shares(
     """
     kind = StatisticKind(kind)
     if kind is StatisticKind.J:
-        return counts[..., s + 1 :].sum(axis=-1, dtype=np.int64)
+        return counts[s + 1 :].sum(axis=0, dtype=np.int64)
     if kind is StatisticKind.WSTAR:
-        return (s + 1) * (counts.sum(axis=-1, dtype=np.int64) + 1)
+        return (s + 1) * (counts.sum(axis=0, dtype=np.int64) + 1)
     if kind is not StatisticKind.PA:
         raise ValueError(f"no per-cell share for {kind.value}")
-    k = counts.shape[-1]
+    k = counts.shape[0]
     # |X - s| = |Z - t| with Z the Bernoulli sum towards the nearer end
     # (Z = X, or Z = k-1-X with success counts n - counts_i) and t its
     # distance; |Z - t| = (Z - t) + 2 (t - Z)+ needs only P(Z < t).
     t = min(s, k - 1 - s)
-    total = counts.sum(axis=-1, dtype=np.int64) - counts[..., s]
+    total = counts.sum(axis=0, dtype=np.int64) - counts[s]
     base = counts
     if t < s:
         total = (k - 1) * n - total
@@ -152,11 +207,11 @@ def cell_shares(
     if t:
         # pmf[j]: n^(k-1) P(Z = j) for j < t, one array per j, built by
         # folding in one Bernoulli(base_i / n) per slot i != s
-        lead = counts.shape[:-1]
-        pmf = [np.ones(lead, dtype=acc)] + [np.zeros(lead, dtype=acc)] * (t - 1)
+        cells = counts.shape[1:]
+        pmf = [np.ones(cells, dtype=acc)] + [np.zeros(cells, dtype=acc)] * (t - 1)
         for i in range(k):
             if i != s:
-                m = base[..., i].astype(acc)
+                m = base[i].astype(acc)
                 q = n - m
                 for j in range(t - 1, 0, -1):
                     pmf[j] = pmf[j] * q + pmf[j - 1] * m

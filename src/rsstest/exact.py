@@ -114,10 +114,11 @@ def _count_dp(k: int, n: int, kind: StatisticKind) -> Pmf:
     once its successors are built, so at most two layers are alive.
     """
     top = k * k * n
-    # share[s][c]: what a slot-s cell with counts c below it adds
+    # share[s][c]: what a slot-s cell with counts c below it adds;
+    # cell_shares reads slot-major counts, one column per vector
     vectors = list(itertools.product(range(n + 1), repeat=k))
     share = [
-        dict(zip(vectors, cell_shares(kind, s, np.array(vectors), n, object).tolist()))
+        dict(zip(vectors, cell_shares(kind, s, np.array(vectors).T, n, object).tolist()))
         for s in range(k)
     ]
     # weight[s][e][d]: what t^d/d! times the t^e term of slot s's density

@@ -17,9 +17,11 @@ up being measured for rank slot i:
                    smallest of the same set (clamped at the ends)
                    replaces the i-th.
 
-`_draw_once` makes the slot choice in one place: it picks, per cell, the
-index of the set member to measure (slot i, its mirror k-1-i, or a
-neighbour clamped to 0..k-1) and reads every cell with one gather,
+`_draw_once` makes the slot choice in one place.  It sorts the
+comparison sets in place; the perfect model reads its cells straight off
+the diagonal, slot i of set (i, l).  The other models pick, per cell,
+the index of the set member to measure (slot i, its mirror k-1-i, or a
+neighbour clamped to 0..k-1) and read every cell with one gather,
 `_pick`; the random model then swaps in its fresh draws.  Draw order per
 batch is fixed and documented on `draw_cells`, so any seeded stream
 reproduces the same cells regardless of callers.  The
@@ -179,9 +181,12 @@ def _draw_once(
         return _pick(primary, _pick(np.argsort(companion, axis=-1), idx))
 
     draw = rng.standard_normal if population == "normal" else rng.random
-    sets = np.sort(draw((size, k, n, k)), axis=-1)
+    sets = draw((size, k, n, k))
+    sets.sort(axis=-1)
     if model.tag == "perfect":
-        return _pick(sets, idx)
+        # cell (i, l) is the i-th smallest of set (i, l): the diagonal over
+        # the slot and set-member axes
+        return np.diagonal(sets, axis1=1, axis2=3).transpose(0, 2, 1).copy()
 
     mix = rng.random((size, k, n))
     lam = model.lam

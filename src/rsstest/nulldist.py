@@ -329,6 +329,23 @@ class TestResult:
                 f"{result.kind.value} needs tail {result.tail!r} and a boolean randomized, "
                 f"not {doc['tail']!r} and {doc['randomized']!r}"
             )
+        # the decisions `run_test` can reach from these fields
+        crit = CriticalValues(
+            result.critical_value, result.attained_level, result.gamma, result.boundary,
+            result.tail,
+        )
+        if crit.rejects(result.observed):
+            allowed = (Decision.REJECT,)
+        elif result.randomized and crit.rejects(result.observed, 0.0):
+            allowed = (Decision.REJECT_RANDOMIZED, Decision.ACCEPT)
+        else:
+            allowed = (Decision.ACCEPT,)
+        if result.decision not in allowed:
+            raise DataValidationError(
+                f"decision {result.decision.value!r} does not follow from observed "
+                f"{result.observed}, critical value {result.critical_value}, boundary "
+                f"{result.boundary}, gamma {result.gamma} and randomized {result.randomized}"
+            )
         return result
 
     @classmethod

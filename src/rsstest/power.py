@@ -21,6 +21,7 @@ construction.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -200,7 +201,7 @@ class PowerTable:
             raise DataValidationError(
                 f"not a {POWER_TABLE_FORMAT} document: {doc.get('format')!r}"
             )
-        return cls(
+        table = cls(
             study=PowerStudy.from_json_dict(doc["study"]),
             cells=tuple(
                 PowerCell(
@@ -216,6 +217,20 @@ class PowerTable:
                 for p in doc["null_provenance"]
             ),
         )
+        study = table.study
+        pairs = sorted((c.kind, c.lam) for c in table.cells)
+        if pairs != sorted(itertools.product(study.kinds, study.lambda_grid)):
+            raise DataValidationError(
+                "a power table needs one cell for each of its study's statistics "
+                "at each grid value, and no other"
+            )
+        for c in table.cells:
+            if c.reps != study.reps or not 0 <= c.rejections <= c.reps:
+                raise DataValidationError(
+                    f"cell {c.kind.value} at {c.lam:g} has {c.rejections} rejections in "
+                    f"{c.reps} reps; the study runs {study.reps} reps per cell"
+                )
+        return table
 
     @classmethod
     def from_json(cls, text: str) -> "PowerTable":

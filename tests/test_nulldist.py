@@ -481,3 +481,45 @@ def test_test_result_reload_refuses_inconsistent_fields():
         doc = result.to_json_dict() | {key: bad}
         with pytest.raises(DataValidationError, match=key):
             TestResult.from_json_dict(doc)
+
+
+def test_test_result_reload_refuses_a_decision_its_fields_do_not_give():
+    # PA on 2x2 at alpha 0.05: cv 6, boundary 4; a run_test JSON edited to
+    # claim a randomized rejection it could not have made is refused
+    from rsstest import TestResult
+
+    dist = exact_null_distribution(K.PA, 2, 2)
+    nested = run_test(make_sample([[1, 2], [4, 3]]), K.PA, dist, "0.05")
+    assert (nested.observed, nested.critical_value, nested.boundary) == (0, 6, 4)
+    doc = nested.to_json_dict()
+    with pytest.raises(DataValidationError, match="decision"):
+        TestResult.from_json_dict(doc | {"decision": "rejectWithProbabilityGamma"})
+    with pytest.raises(DataValidationError, match="decision"):
+        TestResult.from_json_dict(doc | {"decision": "reject"})
+    # an outright rejection can only be reported as one
+    inverted = run_test(make_sample([[5, 6], [1, 2]]), K.PA, dist, "0.05").to_json_dict()
+    assert inverted["decision"] == "reject"
+    for decision in ("acceptNull", "rejectWithProbabilityGamma"):
+        with pytest.raises(DataValidationError, match="decision"):
+            TestResult.from_json_dict(inverted | {"decision": decision})
+    # on the boundary atom a randomized test may go either way, a plain one
+    # only accepts; a boundary without gamma never randomizes
+    boundary = run_test(make_sample([[5, 2], [4, 3]]), K.PA, dist, "0.05").to_json_dict()
+    assert (boundary["observed"], boundary["decision"]) == (4, "acceptNull")
+    for decision in ("acceptNull", "rejectWithProbabilityGamma"):
+        doc = boundary | {"randomized": True, "decision": decision}
+        assert TestResult.from_json_dict(doc).decision.value == decision
+    for doc in (
+        boundary | {"decision": "rejectWithProbabilityGamma"},
+        boundary | {"randomized": True, "decision": "rejectWithProbabilityGamma", "gamma": "0/1"},
+        boundary | {"randomized": True, "decision": "reject"},
+    ):
+        with pytest.raises(DataValidationError, match="decision"):
+            TestResult.from_json_dict(doc)
+    # the lower tail mirrors it: Wstar rejects at or below its cv
+    wstar = run_test(
+        make_sample([[5, 6], [1, 2]]), K.WSTAR, exact_null_distribution(K.WSTAR, 2, 2), "0.05"
+    ).to_json_dict()
+    assert wstar["observed"] <= wstar["critical_value"] and wstar["decision"] == "reject"
+    with pytest.raises(DataValidationError, match="decision"):
+        TestResult.from_json_dict(wstar | {"decision": "acceptNull"})

@@ -295,6 +295,39 @@ def test_power_table_json_round_trip():
     assert again.to_json_dict() == table.to_json_dict()
 
 
+def test_power_table_reload_refuses_impossible_cells():
+    table = estimate_power(small_study(kinds=(K.PA, K.J), reps=100))
+    doc = table.to_json_dict()
+    assert PowerTable.from_json_dict(doc).to_json_dict() == doc
+
+    def edited(index: int, **fields) -> dict:
+        cells = [dict(c) for c in doc["cells"]]
+        cells[index].update(fields)
+        return doc | {"cells": cells}
+
+    # an edited cell that would reload with power 9/7
+    for bad in (edited(0, reps=7, rejections=9), edited(0, reps=7), edited(1, reps=200)):
+        with pytest.raises(DataValidationError, match="reps per cell"):
+            PowerTable.from_json_dict(bad)
+    for rejections in (-1, 101):
+        with pytest.raises(DataValidationError, match="rejections"):
+            PowerTable.from_json_dict(edited(2, rejections=rejections))
+    assert PowerTable.from_json_dict(edited(2, rejections=100)).cells[2].power == 1.0
+    # the cells must be the study's statistics times its grid, each pair once
+    cells = doc["cells"]
+    for bad_cells in (
+        cells[:-1],
+        cells + [cells[0]],
+        cells[:-1] + [cells[0]],
+        [dict(cells[0], kind="Wstar")] + cells[1:],
+        [dict(cells[0], **{"lambda": 0.25})] + cells[1:],
+    ):
+        with pytest.raises(DataValidationError, match="one cell for each"):
+            PowerTable.from_json_dict(doc | {"cells": bad_cells})
+    # cell order is free
+    assert PowerTable.from_json_dict(doc | {"cells": cells[::-1]}).cells[0].kind is K.J
+
+
 def test_power_table_csv_orientation():
     table = estimate_power(small_study(kinds=(K.PA, K.N_SUM), reps=800))
     lines = table.to_csv().strip().splitlines()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -26,7 +27,7 @@ from rsstest import (
     statistic_range,
     substream,
 )
-from rsstest.batch import cell_shares, evaluate_batch
+from rsstest.batch import _below_counts, cell_shares, evaluate_batch
 from rsstest.mc import CHUNK_SIZE
 from rsstest.statistics import MAX_KINDS, SUM_KINDS, tuple_discrepancies
 from rsstest.streams import NULL_STREAM_BASE
@@ -211,19 +212,33 @@ def test_fast_paths_match_brute_force(rng, k, n):
         assert evaluate(s, K.PS) == ps_offset(k, n) - 2 * n ** (k - 2) * evaluate(s, K.WSTAR) == ps
 
 
+# each kind alone, then subsets that share or skip the kernel's
+# intermediates: below-counts with ranks, ranks alone, each route to PS,
+# and per-cycle values without the pair count
+KIND_SUBSETS = [(kind,) for kind in ALL_KINDS] + [
+    (K.PA, K.J, K.WSTAR, K.A_SUM),
+    (K.PN, K.PS),
+    (K.WSTAR, K.PS),
+    (K.A_SUM, K.N_MAX, K.S_MAX),
+    ALL_KINDS,
+]
+
+
 def test_batch_matches_oracles_for_each_requested_kind():
     # 32 perfect draws per grid: every sample against the enumerated and
-    # from-definition oracles, and each kind requested alone against the
-    # same kind from the all-kinds call
+    # from-definition oracles, and each subset of KIND_SUBSETS against the
+    # same kinds from the all-kinds call
     perfect = ImperfectModel("perfect")
     for k in range(1, 6):
         for n in range(1, 5):
             cells = draw_cells(perfect, "uniform", k, n, 32, substream(10 * k + n, 0))
             together = evaluate_batch(cells, ALL_KINDS)
-            for kind in ALL_KINDS:
-                alone = evaluate_batch(cells, [kind])[kind]
-                assert alone.dtype == together[kind].dtype, (k, n, kind)
-                assert alone.tolist() == together[kind].tolist(), (k, n, kind)
+            for kinds in KIND_SUBSETS:
+                got = evaluate_batch(cells, kinds)
+                assert tuple(got) == kinds, (k, n, kinds)
+                for kind, values in got.items():
+                    assert values.dtype == together[kind].dtype, (k, n, kinds, kind)
+                    assert values.tolist() == together[kind].tolist(), (k, n, kinds, kind)
             for b, sample_cells in enumerate(cells):
                 s = make_sample(sample_cells)
                 want = {kind: cycle_oracle(s, kind) for kind in CYCLE_KINDS}
@@ -233,19 +248,87 @@ def test_batch_matches_oracles_for_each_requested_kind():
                     assert together[kind][b] == want[kind], (k, n, kind, b)
 
 
+def every_count_vector(k: int, n: int) -> np.ndarray:
+    """All count vectors of a k x n grid, slot-major: column v is vector v."""
+    return np.array(list(itertools.product(range(n + 1), repeat=k)), dtype=np.int32).T
+
+
 def test_pa_share_matches_its_definition_on_every_count_vector():
     # k = 6 is the first k whose upper tail needs two pmf entries
     for k in range(1, 7):
         for n in range(1, 4):
-            counts = np.array(list(itertools.product(range(n + 1), repeat=k)), dtype=np.int32)
+            counts = every_count_vector(k, n)
             for s in range(k):
-                want = pa_share_oracle(s, counts, n)
+                want = pa_share_oracle(s, counts.T, n)
                 for acc in (np.int64, object):
                     got = cell_shares(K.PA, s, counts, n, acc)
                     assert got.dtype == acc, (k, n, s, acc)
                     assert got.tolist() == want, (k, n, s, acc)
                     if acc is object:
                         assert all(type(v) is int for v in got.tolist()), (k, n, s)
+
+
+def test_j_and_wstar_shares_match_their_definitions_on_every_count_vector():
+    # a slot-s cell lies above the counted cells of each higher slot (J),
+    # and its overall rank is one more than all cells below it (Wstar)
+    for k in range(1, 7):
+        for n in range(1, 4):
+            counts = every_count_vector(k, n)
+            for s in range(k):
+                want_j = [sum(c[s + 1 :]) for c in counts.T.tolist()]
+                want_w = [(s + 1) * (1 + sum(c)) for c in counts.T.tolist()]
+                assert cell_shares(K.J, s, counts, n).tolist() == want_j, (k, n, s)
+                assert cell_shares(K.WSTAR, s, counts, n).tolist() == want_w, (k, n, s)
+
+
+def direct_counts(cells: np.ndarray) -> np.ndarray:
+    """counts[i, b, c]: slot-i cells of sample b below its cell c, compared directly."""
+    b, k, n = cells.shape
+    flat = cells.reshape(b, k * n)
+    return np.stack([(cells[:, i, None, :] < flat[:, :, None]).sum(axis=-1) for i in range(k)])
+
+
+def test_rank_based_wstar_is_the_sum_of_its_cell_shares():
+    # the kernel takes Wstar from overall ranks alone; summing the per-cell
+    # shares over directly counted cells must give the same value, and a
+    # share whose slot weight is one too high must not.  The kernel's own
+    # counts, which J and PA read, are the direct ones too.
+    for k, n in ((1, 3), (2, 1), (3, 3), (4, 5), (6, 10)):
+        cells = draw_cells(ImperfectModel("perfect"), "uniform", k, n, 32, substream(k + n, 4))
+        counts = direct_counts(cells)
+        order = np.argsort(cells.reshape(len(cells), k * n), axis=1)
+        assert _below_counts(order, k, n).tolist() == counts.tolist(), (k, n)
+        kernel = evaluate_batch(cells, [K.WSTAR])[K.WSTAR]
+        shares = [cell_shares(K.WSTAR, s, counts[:, :, s * n : (s + 1) * n], n) for s in range(k)]
+        total = sum(x.sum(axis=1) for x in shares)
+        assert kernel.tolist() == total.tolist(), (k, n)
+        for bumped, x in enumerate(shares):
+            # weight bumped + 2 instead of bumped + 1 on one slot's cells
+            assert (kernel != total + x.sum(axis=1) // (bumped + 1)).all(), (k, n, bumped)
+
+
+# sha256 prefixes of `evaluate_batch` on seeded perfect draws, one per
+# (k, n, B): every subset of KIND_SUBSETS in turn, each output's kind,
+# dtype and values.  Any change to what the kernel returns moves them.
+EVALUATE_BATCH_PINS = {
+    (1, 3, 64): "b437b39c09892b90",
+    (2, 1, 64): "9d55c2a12583fefc",
+    (3, 3, 64): "e32569ef9dfb1d79",
+    (4, 5, 64): "ca2ce6409fd8d99f",
+    (5, 4, 64): "be3918dbc6e0200b",
+    (6, 10, 64): "76736f7c978b843d",
+    (12, 30, 4): "d3f558386c4ba43e",  # object accumulators
+}
+
+
+@pytest.mark.parametrize("k,n,b", list(EVALUATE_BATCH_PINS))
+def test_evaluate_batch_outputs_are_pinned(k, n, b):
+    cells = draw_cells(ImperfectModel("perfect"), "uniform", k, n, b, substream(100 * k + n, 3))
+    digest = hashlib.sha256()
+    for kinds in KIND_SUBSETS:
+        for kind, values in evaluate_batch(cells, kinds).items():
+            digest.update(f"{kind.value}:{values.dtype}:{values.tolist()};".encode())
+    assert digest.hexdigest()[:16] == EVALUATE_BATCH_PINS[k, n, b]
 
 
 @pytest.mark.parametrize("k,n,b", [(6, 2, 16), (7, 2, 16), (8, 2, 16), (6, 3, 8)])

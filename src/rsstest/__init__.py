@@ -30,6 +30,7 @@ from .models import (
     draw_cells,
     generate,
     marginal_cdf,
+    slot_density,
 )
 from .nulldist import (
     CriticalValues,

@@ -198,23 +198,23 @@ def cell_shares(
     # (Z = X, or Z = k-1-X with success counts n - counts_i) and t its
     # distance; |Z - t| = (Z - t) + 2 (t - Z)+ needs only P(Z < t).
     t = min(s, k - 1 - s)
-    total = counts.sum(axis=0, dtype=np.int64) - counts[s]
-    base = counts
+    cells = counts.shape[1:]
+    others = [i for i in range(k) if i != s]
+    total = sum((counts[i] for i in others), np.zeros(cells, dtype=np.int64))
     if t < s:
         total = (k - 1) * n - total
-        base = n - counts
     share = total.astype(acc) * n ** max(k - 2, 0) - t * n ** (k - 1)
     if t:
         # pmf[j]: n^(k-1) P(Z = j) for j < t, one array per j, built by
-        # folding in one Bernoulli(base_i / n) per slot i != s
-        cells = counts.shape[1:]
+        # folding in one Bernoulli(m / n) per slot i != s
         pmf = [np.ones(cells, dtype=acc)] + [np.zeros(cells, dtype=acc)] * (t - 1)
-        for i in range(k):
-            if i != s:
-                m = base[i].astype(acc)
-                q = n - m
-                for j in range(t - 1, 0, -1):
-                    pmf[j] = pmf[j] * q + pmf[j - 1] * m
-                pmf[0] = pmf[0] * q
+        for i in others:
+            m = counts[i].astype(acc)
+            q = n - m
+            if t < s:
+                m, q = q, m
+            for j in range(t - 1, 0, -1):
+                pmf[j] = pmf[j] * q + pmf[j - 1] * m
+            pmf[0] = pmf[0] * q
         share += 2 * sum((t - j) * p for j, p in enumerate(pmf))
     return share

@@ -3,13 +3,14 @@
 Under perfect ranking the k*n cells are independent, cell (i, l) being
 the i-th order statistic of k standard uniforms, and every statistic
 here depends on the cells only through their relative order.  The engine
-integrates the product of order-statistic densities over the ordered
-region exactly, with one dynamic program over the cells from smallest to
-largest.  Its state is (c, partial statistic), c counting the cells of
-each slot placed so far: cells of a slot are i.i.d., and J, Wstar and PA
-are sums over cells of `batch.cell_shares`, an integer that depends only
-on the cell's slot s and the counts c below it (the Monte Carlo kernel
-sums the same shares); it is tabulated once per (statistic, k, n).
+integrates the product of the cells' densities, `models.slot_density`,
+over the ordered region exactly, with one dynamic program over the cells
+from smallest to largest.  Its state is (c, partial statistic), c
+counting the cells of each slot placed so far: cells of a slot are
+i.i.d., and J, Wstar and PA are sums over cells of `batch.cell_shares`,
+an integer that depends only on the cell's slot s and the counts c below
+it (the Monte Carlo kernel sums the same shares); it is tabulated once
+per (statistic, k, n).
 Integration is linear, so the partial integrals of all prefixes reaching
 a state are summed.  They stay in integers: polynomials are carried in
 the t^d/d! basis, where multiplying by an integer-coefficient density
@@ -43,6 +44,7 @@ import numpy as np
 
 from .batch import cell_shares
 from .errors import ExactEngineCapError
+from .models import ImperfectModel, slot_density
 from .statistics import CYCLE_OF, SUM_KINDS, StatisticKind, affine_base
 
 DEFAULT_EXACT_CELL_CAP = 8
@@ -103,15 +105,14 @@ def _max_of_iid(pmf: Pmf, n: int) -> Pmf:
     return out
 
 
-@lru_cache(maxsize=None)
 def _count_dp(k: int, n: int, kind: StatisticKind) -> Pmf:
     """Exact pmf of J, Wstar or PA on a k x n grid, by the DP over slot counts.
 
     A layer maps each count vector c of the cells placed so far to
     (v0, rows): row r holds the summed polynomial of the prefixes with
     partial statistic v0 + r, as t^d/d! coefficients from degree
-    sum_i (i+1) c_i (below which every term is zero) up.  A state is freed
-    once its successors are built, so at most two layers are alive.
+    low(c) up, below which every term is zero.  A state is freed once its
+    successors are built, so at most two layers are alive.
     """
     top = k * k * n
     # share[s][c]: what a slot-s cell with counts c below it adds;
@@ -122,20 +123,20 @@ def _count_dp(k: int, n: int, kind: StatisticKind) -> Pmf:
         for s in range(k)
     ]
     # weight[s][e][d]: what t^d/d! times the t^e term of slot s's density
-    # k C(k-1, s) t^s (1-t)^(k-1-s), integrated, puts on t^(d+e+1)/(d+e+1)!
-    weight = []
-    for s in range(k):
-        lead = k * math.comb(k - 1, s)
-        terms = {e: lead * math.comb(k - 1 - s, e - s) * (-1) ** (e - s) for e in range(s, k)}
-        weight.append(
-            {
-                e: np.array([ce * math.perm(d + e, e) for d in range(top)], dtype=object)
-                for e, ce in terms.items()
-            }
-        )
+    # (`slot_density`, scale 1 under perfect ranking), integrated, puts on
+    # t^(d+e+1)/(d+e+1)!
+    weight = [
+        {
+            e: np.array([ce * math.perm(d + e, e) for d in range(top)], dtype=object)
+            for e, ce in enumerate(slot_density(ImperfectModel("perfect"), k, s)[0])
+            if ce
+        }
+        for s in range(k)
+    ]
+    first = [min(w) for w in weight]  # each density's lowest power
 
     def low(c: tuple[int, ...]) -> int:
-        return sum((i + 1) * ci for i, ci in enumerate(c))
+        return sum((first[i] + 1) * ci for i, ci in enumerate(c))
 
     layer = {(0,) * k: (0, np.ones((1, 1), dtype=object))}
     for placed in range(1, k * n + 1):
@@ -155,10 +156,11 @@ def _count_dp(k: int, n: int, kind: StatisticKind) -> Pmf:
             for s, c, v in moves:
                 rows, lo = layer[c][1], low(c)
                 width = rows.shape[1]
-                # a slot-s cell raises the lowest degree by s + 1, so the
-                # density's t^e term lands e - s columns to the right
+                # a slot-s cell raises the lowest degree by first[s] + 1, so
+                # the density's t^e term lands e - first[s] columns to the right
                 for e, w in weight[s].items():
-                    out[v - v0 : v - v0 + len(rows), e - s : e - s + width] += (
+                    col = e - first[s]
+                    out[v - v0 : v - v0 + len(rows), col : col + width] += (
                         rows * w[lo : lo + width]
                     )
                 uses[c] -= 1

@@ -28,12 +28,16 @@ reproduces the same cells regardless of callers.  The
 all-cells-distinct requirement is enforced by regenerating offending
 replicates (a probability-zero event under continuous populations);
 regenerations are counted in `tie_regeneration_count`.
+
+`slot_density` states once the law these draws follow, as an exact
+polynomial per slot; the exact engine and `marginal_cdf` integrate it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Literal
 
 import numpy as np
@@ -228,46 +232,44 @@ def generate(cfg: GeneratorConfig, rng: np.random.Generator | None = None) -> Rs
     return RssSample(tuple(tuple(float(v) for v in row) for row in cells))
 
 
-def _population_cdf(population: Population, x: float) -> float:
-    if population == "uniform":
-        return min(max(x, 0.0), 1.0)
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+def slot_density(model: ImperfectModel, k: int, s: int) -> tuple[list[int], int]:
+    """(coeffs, scale): scale * f_s(t) = sum_e coeffs[e] t^e is the density
+    of a slot-s cell (0-based) on the uniform scale, in integers.
 
-
-def _order_stat_cdf(k: int, i: int, p: float) -> float:
-    # P(i-th smallest of k <= x) as a binomial tail in p = F(x)
-    return sum(
-        math.comb(k, m) * p**m * (1.0 - p) ** (k - m) for m in range(i, k + 1)
-    )
+    Under perfect ranking f_s is Beta(s+1, k-s), k C(k-1, s) t^s (1-t)^(k-1-s),
+    and scale is 1.  A fraction model mixes in, at weight lam (read as its
+    decimal repr), the uniform density (random), the mirrored slot
+    (inverse) or the clamped neighbouring slots at lam/2 each (neighbor);
+    scale is the lcm of the weights' denominators.  The concomitant model
+    has no polynomial density and is refused."""
+    if model.tag == "concomitant":
+        raise ValueError("no closed-form marginal for the concomitant model")
+    if not 0 <= s < k:
+        raise ValueError(f"rank slot {s + 1} (1-based) out of range 1..{k}")
+    lam = Fraction(repr(model.lam))
+    mix = [(s, 1 - lam)]  # (slot, weight) of each order-statistic density
+    uniform = lam if model.tag == "random" else Fraction(0)
+    if model.tag == "inverse":
+        mix.append((k - 1 - s, lam))
+    elif model.tag == "neighbor":
+        mix += [(max(s - 1, 0), lam / 2), (min(s + 1, k - 1), lam / 2)]
+    scale = math.lcm(uniform.denominator, *(w.denominator for _, w in mix))
+    coeffs = [int(uniform * scale)] + [0] * (k - 1)
+    for r, w in mix:
+        lead = int(w * scale) * k * math.comb(k - 1, r)
+        for m in range(k - r):
+            coeffs[r + m] += lead * math.comb(k - 1 - r, m) * (-1) ** m
+    return coeffs, scale
 
 
 def marginal_cdf(
-    model: ImperfectModel,
-    k: int,
-    i: int,
-    x: float,
-    population: Population = "uniform",
+    model: ImperfectModel, k: int, i: int, x: float, population: Population = "uniform"
 ) -> float:
-    """CDF of the rank-slot-i cell under a fraction model (or perfect).
-
-    The concomitant model has no closed-form marginal in this
-    parameterisation and is rejected.
-    """
-    if model.tag == "concomitant":
-        raise ValueError("no closed-form marginal for the concomitant model")
-    if not 1 <= i <= k:
-        raise ValueError(f"rank slot {i} out of range 1..{k}")
-    p = _population_cdf(population, x)
-    f_i = _order_stat_cdf(k, i, p)
-    lam = model.lam
-    if model.tag == "perfect" or lam == 0.0:
-        return f_i
-    if model.tag == "random":
-        return (1.0 - lam) * f_i + lam * p
-    if model.tag == "inverse":
-        return (1.0 - lam) * f_i + lam * _order_stat_cdf(k, k - i + 1, p)
-    if model.tag == "neighbor":
-        below = _order_stat_cdf(k, max(i - 1, 1), p)
-        above = _order_stat_cdf(k, min(i + 1, k), p)
-        return (lam / 2.0) * below + (1.0 - lam) * f_i + (lam / 2.0) * above
-    raise ValueError(f"unknown model tag {model.tag!r}")  # pragma: no cover
+    """CDF of the rank-slot-i cell (1-based) under a fraction model (or
+    perfect): the integral of `slot_density` up to p = F(x)."""
+    coeffs, scale = slot_density(model, k, i - 1)
+    if population == "uniform":
+        p = min(max(x, 0.0), 1.0)
+    else:
+        p = 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+    return sum(c * p ** (e + 1) / (e + 1) for e, c in enumerate(coeffs)) / scale

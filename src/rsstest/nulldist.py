@@ -7,7 +7,8 @@ randomized-test construction: reject outright at or beyond the critical
 value, and on the next atom inside reject with probability gamma, chosen
 so the test's size is exactly alpha.  Every statistic rejects in its
 upper tail except Wstar, which rejects low.  `CriticalValues.rejects`
-states that rule once; `run_test`, `power` and `verify` all apply it.
+states that rule once, and `decisions` the outcomes it lets a test reach
+(`run_test` and reloaded results read both); `power` and `verify` apply it.
 
 Serialisation is a small versioned JSON document with probabilities as
 "numerator/denominator" strings, so saved tables reload bit-exactly.
@@ -197,6 +198,12 @@ def exact_null_distribution(
     )
 
 
+class Decision(str, Enum):
+    REJECT = "reject"
+    ACCEPT = "acceptNull"
+    REJECT_RANDOMIZED = "rejectWithProbabilityGamma"
+
+
 @dataclass(frozen=True)
 class CriticalValues:
     """Critical value, its attained level, and the randomisation atom.
@@ -224,6 +231,16 @@ class CriticalValues:
             reject = reject | ((t == self.boundary) & (u < float(self.gamma)))
         return reject
 
+    def decisions(self, t: int, randomized: bool) -> tuple[Decision, ...]:
+        """The decisions a test at `t` can reach: reject outright at or
+        beyond cv; on the boundary atom of a randomized test with
+        gamma > 0, reject or accept as the uniform draw falls; else accept."""
+        if self.rejects(t):
+            return (Decision.REJECT,)
+        if randomized and self.rejects(t, 0.0):
+            return (Decision.REJECT_RANDOMIZED, Decision.ACCEPT)
+        return (Decision.ACCEPT,)
+
 
 def critical_value(dist: NullDistribution, alpha) -> CriticalValues:
     """Randomized-test critical quantities at level alpha.
@@ -245,12 +262,6 @@ def critical_value(dist: NullDistribution, alpha) -> CriticalValues:
             return CriticalValues(cv, attained, (level - attained) / p, value, dist.tail)
         cv, attained = value, attained + p
     return CriticalValues(cv, attained, Fraction(0), None, dist.tail)
-
-
-class Decision(str, Enum):
-    REJECT = "reject"
-    ACCEPT = "acceptNull"
-    REJECT_RANDOMIZED = "rejectWithProbabilityGamma"
 
 
 @dataclass(frozen=True)
@@ -329,18 +340,11 @@ class TestResult:
                 f"{result.kind.value} needs tail {result.tail!r} and a boolean randomized, "
                 f"not {doc['tail']!r} and {doc['randomized']!r}"
             )
-        # the decisions `run_test` can reach from these fields
         crit = CriticalValues(
             result.critical_value, result.attained_level, result.gamma, result.boundary,
             result.tail,
         )
-        if crit.rejects(result.observed):
-            allowed = (Decision.REJECT,)
-        elif result.randomized and crit.rejects(result.observed, 0.0):
-            allowed = (Decision.REJECT_RANDOMIZED, Decision.ACCEPT)
-        else:
-            allowed = (Decision.ACCEPT,)
-        if result.decision not in allowed:
+        if result.decision not in crit.decisions(result.observed, result.randomized):
             raise DataValidationError(
                 f"decision {result.decision.value!r} does not follow from observed "
                 f"{result.observed}, critical value {result.critical_value}, boundary "
@@ -379,13 +383,10 @@ def run_test(
     observed = evaluate(sample, kind)
     p_value = dist.p_value(observed)
 
-    if crit.rejects(observed):
-        decision = Decision.REJECT
-    elif randomized and crit.rejects(observed, 0.0):  # the boundary atom, gamma > 0
-        rejected = crit.rejects(observed, rng.random())
-        decision = Decision.REJECT_RANDOMIZED if rejected else Decision.ACCEPT
-    else:
-        decision = Decision.ACCEPT
+    reachable = crit.decisions(observed, randomized)
+    decision = reachable[0]
+    if len(reachable) > 1 and not crit.rejects(observed, rng.random()):  # the boundary draw
+        decision = reachable[1]
 
     return TestResult(
         kind=kind,

@@ -403,11 +403,6 @@ def compare_tests(tables: Sequence[PowerTable]) -> ComparisonReport:
     )
 
 
-def power_tables_equal(a: PowerTable, b: PowerTable) -> bool:
-    """Bit-equality of two tables (study, cells and provenance)."""
-    return a.to_json_dict() == b.to_json_dict()
-
-
 __all__ = [
     "ComparisonReport",
     "PairVerdict",
@@ -416,6 +411,5 @@ __all__ = [
     "PowerTable",
     "compare_tests",
     "estimate_power",
-    "power_tables_equal",
     "resolve_null_distributions",
 ]

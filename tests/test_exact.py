@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import hashlib
 import itertools
 import math
 import time
@@ -16,6 +17,7 @@ from rsstest.statistics import MAX_KINDS, PERM_KINDS, SUM_KINDS, tuple_discrepan
 
 from rsstest import (
     ALL_KINDS,
+    OPT_IN_EXACT_CELL_CAP,
     ExactEngineCapError,
     StatisticKind,
     exact_distributions,
@@ -207,6 +209,23 @@ def test_engine_matches_word_walk_oracle(k, n):
     assert list(engine) == list(ALL_KINDS)
     for kind in ALL_KINDS:
         assert list(engine[kind].items()) == list(oracle[kind].items()), kind
+
+
+# every grid with kn <= 8 and k >= 2, then 3x3 and 2x5 past the default cap
+PINNED_GRIDS = [(k, n) for k in range(2, 9) for n in range(1, 5) if k * n <= 8] + [(3, 3), (2, 5)]
+
+
+def test_exact_pmfs_are_pinned():
+    # sha256 of every atom of all 11 pmfs as "v:num/den"; any change to an
+    # exact probability moves it
+    digest = hashlib.sha256()
+    for k, n in PINNED_GRIDS:
+        for kind, pmf in exact_distributions(k, n, max_cells=OPT_IN_EXACT_CELL_CAP).items():
+            atoms = ",".join(f"{v}:{p.numerator}/{p.denominator}" for v, p in pmf.items())
+            digest.update(f"{k}x{n} {kind.value} {atoms}\n".encode())
+    assert digest.hexdigest() == (
+        "fbabbe693ffff5b1fd512c01fb7abe702a5329e9fbe32a7b53b64497342cbb94"
+    )
 
 
 # ---------------------------------------------------------------------------

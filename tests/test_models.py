@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from rsstest import (
     draw_cells,
     generate,
     marginal_cdf,
+    slot_density,
     substream,
 )
 from rsstest.batch import evaluate_batch
@@ -117,8 +119,76 @@ def test_inverse_full_flip_swaps_extremes():
 
 
 # ---------------------------------------------------------------------------
-# marginal CDFs
+# slot densities and marginal CDFs
 # ---------------------------------------------------------------------------
+
+FRACTION_MODELS = [ImperfectModel("perfect")] + [
+    ImperfectModel(tag, lam)
+    for tag in ("random", "inverse", "neighbor")
+    for lam in (0.0, 0.3, 0.5, 0.75, 1.0)
+]
+
+
+def beta_coefficients(k, s):
+    # Beta(s+1, k-s) density k!/(s! (k-1-s)!) t^s (1-t)^(k-1-s), expanded
+    # by multiplying out (1-t) one factor at a time
+    poly = [0] * s + [1]
+    for _ in range(k - 1 - s):
+        poly = [a - b for a, b in zip(poly + [0], [0] + poly)]
+    const = math.factorial(k) // (math.factorial(s) * math.factorial(k - 1 - s))
+    return [const * a for a in poly]
+
+
+def test_perfect_slot_density_is_the_beta_expansion():
+    for k in range(1, 11):
+        for s in range(k):
+            assert slot_density(ImperfectModel("perfect"), k, s) == (beta_coefficients(k, s), 1)
+
+
+def test_slot_densities_integrate_to_one():
+    for model in FRACTION_MODELS:
+        for k in range(1, 9):
+            for s in range(k):
+                coeffs, scale = slot_density(model, k, s)
+                assert all(isinstance(c, int) for c in coeffs), (model, k, s)
+                assert sum(Fraction(c, e + 1) for e, c in enumerate(coeffs)) == scale, (model, k, s)
+
+
+def test_slot_density_scale_reads_lambda_as_decimal():
+    # neighbor:0.3 at k = 3, slot 1: .7 f_1 + .15 f_0 + .15 f_2, over 20
+    coeffs, scale = slot_density(ImperfectModel("neighbor", 0.3), 3, 1)
+    assert scale == 20
+    f1, f0, f2 = (beta_coefficients(3, r) for r in (1, 0, 2))
+    assert coeffs == [14 * a + 3 * b + 3 * c for a, b, c in zip(f1, f0, f2)]
+
+
+def test_slot_density_neighbor_k2_is_inverse_at_half_rate():
+    for lam in (0.2, 0.6, 0.8, 1.0):
+        for s in (0, 1):
+            a, sa = slot_density(ImperfectModel("neighbor", lam), 2, s)
+            b, sb = slot_density(ImperfectModel("inverse", lam / 2), 2, s)
+            assert [Fraction(c, sa) for c in a] == [Fraction(c, sb) for c in b], (lam, s)
+
+
+def test_slot_density_refusals():
+    with pytest.raises(ValueError, match="concomitant"):
+        slot_density(ImperfectModel("concomitant", 0.5), 3, 0)
+    for s in (-1, 3):
+        with pytest.raises(ValueError, match="out of range"):
+            slot_density(ImperfectModel("perfect"), 3, s)
+
+
+def binomial_tail_cdf(k, i, p):
+    # P(i-th smallest of k <= x) = P(at least i of k uniforms <= p), p = F(x)
+    return sum(math.comb(k, m) * p**m * (1.0 - p) ** (k - m) for m in range(i, k + 1))
+
+
+def test_marginal_perfect_matches_binomial_tail():
+    for k in range(1, 11):
+        for i in range(1, k + 1):
+            for x in (0.0, 0.01, 0.1, 0.35, 0.5, 0.8, 0.99, 1.0):
+                got = marginal_cdf(ImperfectModel("perfect"), k, i, x)
+                assert abs(got - binomial_tail_cdf(k, i, x)) <= 1e-11, (k, i, x)
 
 
 def test_marginal_perfect_and_lambda_zero_agree():

@@ -12,11 +12,14 @@ an integer that depends only on the cell's slot s and the counts c below
 it (the Monte Carlo kernel sums the same shares); it is tabulated once
 per (statistic, k, n).
 Integration is linear, so the partial integrals of all prefixes reaching
-a state are summed.  They stay in integers: polynomials are carried in
-the t^d/d! basis, where multiplying by an integer-coefficient density
-keeps integer coefficients (via falling factorials) and integrating from
-0 to t is a pure index shift.  At the full state (n, ..., n) each
-probability is (n!)^k * sum_d a_d (k^2 n)!/d! over (k^2 n)!.
+a state are summed.  They stay in integers, carried in the divided-power
+basis of t and 1 - t, e_(j,m) = t^j (1-t)^m / (j! m!): a slot's density
+is a sum of terms t^a (1-t)^(k-1-a), one term under perfect ranking, and
+multiplying e_(j,m) by one term is one integer weight on e_(j+a, m+k-1-a);
+integrating from 0 to t maps e_(j,m) to the sum of e_(j+1+i, m-i) over
+i = 0..m, one cumulative sum per state.  At t = 1 only e_(D,0) = 1/D!
+survives, D = k^2 n, so each probability is (n!)^k times that
+coefficient over (k^2 n)!.
 
 The other eight statistics follow from these three pmfs by the rules
 `statistics` holds, read by `_pmf`: PN and PS are pushed forward from J
@@ -105,14 +108,38 @@ def _max_of_iid(pmf: Pmf, n: int) -> Pmf:
     return out
 
 
+def _to_bernstein(coeffs: list[int]) -> list[int]:
+    """b with sum_a b[a] t^a (1-t)^(d-a) = sum_e coeffs[e] t^e, d = len(coeffs) - 1.
+
+    Each t^e is t^e (t + 1 - t)^(d-e), so b[a] = sum_{e<=a} coeffs[e] C(d-e, a-e).
+    """
+    deg = len(coeffs) - 1
+    return [
+        sum(c * math.comb(deg - e, a - e) for e, c in enumerate(coeffs[: a + 1]))
+        for a in range(deg + 1)
+    ]
+
+
 def _count_dp(k: int, n: int, kind: StatisticKind) -> Pmf:
     """Exact pmf of J, Wstar or PA on a k x n grid, by the DP over slot counts.
 
     A layer maps each count vector c of the cells placed so far to
     (v0, rows): row r holds the summed polynomial of the prefixes with
-    partial statistic v0 + r, as t^d/d! coefficients from degree
-    low(c) up, below which every term is zero.  A state is freed once its
-    successors are built, so at most two layers are alive.
+    partial statistic v0 + r.  After `placed` cells every polynomial is
+    homogeneous of degree D = k * placed in t and 1 - t, and column j of a
+    row is its coefficient of e_(j, D-j) = t^j (1-t)^(D-j) / (j! (D-j)!).
+    - Multiplying: a slot's density is sum_a b_a t^a (1-t)^(k-1-a)
+      (`_to_bernstein`), and e_(j, D-j) times one term is
+      b_a perm(j+a, a) perm(D-j+k-1-a, k-1-a) e_(j+a, D+k-1-j-a): one
+      integer weight per column, shifting it a columns right.
+    - Integrating from 0 maps column j to every column above it, one
+      degree up, so once every move into a state is summed, a cumulative
+      sum along the columns, shifted one to the right, integrates them all.
+    - Reading the result: at t = 1 only e_(D, 0) = 1/D! is nonzero, so at
+      the full state each probability is the last column times (n!)^k
+      over (k^2 n)!, and the probabilities must sum to exactly 1.
+    A state is freed once its successors are built, so at most two layers
+    are alive.
     """
     top = k * k * n
     # share[s][c]: what a slot-s cell with counts c below it adds;
@@ -122,24 +149,35 @@ def _count_dp(k: int, n: int, kind: StatisticKind) -> Pmf:
         dict(zip(vectors, cell_shares(kind, s, np.array(vectors).T, n, object).tolist()))
         for s in range(k)
     ]
-    # weight[s][e][d]: what t^d/d! times the t^e term of slot s's density
-    # (`slot_density`, scale 1 under perfect ranking), integrated, puts on
-    # t^(d+e+1)/(d+e+1)!
-    weight = [
+    # slot s's density (`slot_density`, scale 1 under perfect ranking), by
+    # its nonzero terms b_a t^a (1-t)^(k-1-a): one term, k C(k-1, s) at a = s
+    density = [
         {
-            e: np.array([ce * math.perm(d + e, e) for d in range(top)], dtype=object)
-            for e, ce in enumerate(slot_density(ImperfectModel("perfect"), k, s)[0])
-            if ce
+            a: b
+            for a, b in enumerate(_to_bernstein(slot_density(ImperfectModel("perfect"), k, s)[0]))
+            if b
         }
         for s in range(k)
     ]
-    first = [min(w) for w in weight]  # each density's lowest power
-
-    def low(c: tuple[int, ...]) -> int:
-        return sum((first[i] + 1) * ci for i, ci in enumerate(c))
 
     layer = {(0,) * k: (0, np.ones((1, 1), dtype=object))}
     for placed in range(1, k * n + 1):
+        deg = k * (placed - 1)  # degree of the states being extended
+        # weight[s][a][j]: what e_(j, deg-j) times slot s's t^a term puts on
+        # e_(j+a, deg+k-1-j-a)
+        weight = [
+            {
+                a: np.array(
+                    [
+                        b * math.perm(j + a, a) * math.perm(deg - j + k - 1 - a, k - 1 - a)
+                        for j in range(deg + 1)
+                    ],
+                    dtype=object,
+                )
+                for a, b in density[s].items()
+            }
+            for s in range(k)
+        ]
         sources = defaultdict(list)
         uses = {}  # successors of each state not yet built
         for c, (v0, _) in layer.items():
@@ -152,26 +190,22 @@ def _count_dp(k: int, n: int, kind: StatisticKind) -> Pmf:
         for grown, moves in sources.items():
             v0 = min(v for _, _, v in moves)
             height = max(v + len(layer[c][1]) for _, c, v in moves) - v0
-            out = np.zeros((height, placed * k - low(grown) + 1), dtype=object)
+            # products land one column right, so the cumulative sum leaves
+            # column 0 at 0 and sums only the columns below each one
+            out = np.zeros((height, deg + k + 1), dtype=object)
             for s, c, v in moves:
-                rows, lo = layer[c][1], low(c)
-                width = rows.shape[1]
-                # a slot-s cell raises the lowest degree by first[s] + 1, so
-                # the density's t^e term lands e - first[s] columns to the right
-                for e, w in weight[s].items():
-                    col = e - first[s]
-                    out[v - v0 : v - v0 + len(rows), col : col + width] += (
-                        rows * w[lo : lo + width]
-                    )
+                rows = layer[c][1]
+                for a, w in weight[s].items():
+                    out[v - v0 : v - v0 + len(rows), 1 + a : 1 + a + deg + 1] += rows * w
                 uses[c] -= 1
                 if not uses[c]:
                     del layer[c]
+            np.cumsum(out, axis=1, out=out)
             nxt[grown] = (v0, out)
         layer = nxt
 
-    ((full, (v0, rows)),) = layer.items()
-    to_top = [math.factorial(top) // math.factorial(d) for d in range(low(full), top + 1)]
-    numers = rows.dot(np.array(to_top, dtype=object)) * math.factorial(n) ** k
+    ((_, (v0, rows)),) = layer.items()
+    numers = rows[:, top] * math.factorial(n) ** k
     denom = math.factorial(top)
     if sum(numers) != denom:
         raise RuntimeError(

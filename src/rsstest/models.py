@@ -38,6 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Literal
 
 import numpy as np
@@ -267,9 +268,16 @@ def marginal_cdf(
 ) -> float:
     """CDF of the rank-slot-i cell (1-based) under a fraction model (or
     perfect): the integral of `slot_density` up to p = F(x)."""
-    coeffs, scale = slot_density(model, k, i - 1)
-    if population == "uniform":
+    coeffs = _cdf_coeffs(model, k, i - 1)  # refuses the concomitant model
+    if resolve_population(model.tag, population) == "uniform":
         p = min(max(x, 0.0), 1.0)
     else:
         p = 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
-    return sum(c * p ** (e + 1) / (e + 1) for e, c in enumerate(coeffs)) / scale
+    return sum(a * p ** (e + 1) for e, a in enumerate(coeffs))
+
+
+@lru_cache(maxsize=None)
+def _cdf_coeffs(model: ImperfectModel, k: int, s: int) -> tuple[float, ...]:
+    """a with sum_e a[e] p^(e+1) the integral of slot s's density up to p."""
+    coeffs, scale = slot_density(model, k, s)
+    return tuple(c / ((e + 1) * scale) for e, c in enumerate(coeffs))

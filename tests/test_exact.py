@@ -19,13 +19,16 @@ from rsstest import (
     ALL_KINDS,
     OPT_IN_EXACT_CELL_CAP,
     ExactEngineCapError,
+    ImperfectModel,
     StatisticKind,
     exact_distributions,
     format_probability,
     round_half_up,
+    slot_density,
     statistic_range,
 )
 from rsstest.batch import evaluate_batch
+from rsstest.exact import _to_bernstein
 
 K = StatisticKind
 
@@ -211,8 +214,8 @@ def test_engine_matches_word_walk_oracle(k, n):
         assert list(engine[kind].items()) == list(oracle[kind].items()), kind
 
 
-# every grid with kn <= 8 and k >= 2, then 3x3 and 2x5 past the default cap
-PINNED_GRIDS = [(k, n) for k in range(2, 9) for n in range(1, 5) if k * n <= 8] + [(3, 3), (2, 5)]
+# every grid with k >= 2 up to the opt-in cap of kn <= 10
+PINNED_GRIDS = [(k, n) for k in range(2, 11) for n in range(1, 6) if k * n <= 10]
 
 
 def test_exact_pmfs_are_pinned():
@@ -224,13 +227,36 @@ def test_exact_pmfs_are_pinned():
             atoms = ",".join(f"{v}:{p.numerator}/{p.denominator}" for v, p in pmf.items())
             digest.update(f"{k}x{n} {kind.value} {atoms}\n".encode())
     assert digest.hexdigest() == (
-        "fbabbe693ffff5b1fd512c01fb7abe702a5329e9fbe32a7b53b64497342cbb94"
+        "4197efec22a02d4924e4f6a2e210d6d4ad7108e67ba7451cadcc42a83a922df8"
     )
 
 
 # ---------------------------------------------------------------------------
 # structural checks
 # ---------------------------------------------------------------------------
+
+
+def test_perfect_densities_are_one_term_in_the_dp_basis():
+    # Beta(s+1, k-s) is k C(k-1, s) t^s (1-t)^(k-1-s): a single term
+    for k in range(1, 11):
+        for s in range(k):
+            b = _to_bernstein(slot_density(ImperfectModel("perfect"), k, s)[0])
+            assert b == [k * math.comb(k - 1, s) if a == s else 0 for a in range(k)], (k, s)
+
+
+@pytest.mark.parametrize("tag", ["random", "inverse", "neighbor"])
+@pytest.mark.parametrize("lam", [0.0, 0.3, 0.5, 1.0])
+def test_dp_basis_converts_back_to_slot_density(tag, lam):
+    model = ImperfectModel(tag, lam)
+    for k in range(1, 11):
+        for s in range(k):
+            coeffs, _ = slot_density(model, k, s)
+            # expand each b_a t^a (1-t)^(k-1-a) into powers of t
+            back = [0] * k
+            for a, b in enumerate(_to_bernstein(coeffs)):
+                for m in range(k - a):
+                    back[a + m] += b * math.comb(k - 1 - a, m) * (-1) ** m
+            assert back == coeffs, (tag, lam, k, s)
 
 
 @pytest.mark.parametrize("k,n", [(2, 1), (3, 1), (2, 2), (4, 1), (2, 3), (3, 2)])

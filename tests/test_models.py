@@ -215,6 +215,11 @@ def test_marginal_concomitant_unsupported():
         marginal_cdf(ImperfectModel("concomitant", 0.5), 3, 1, 0.0)
 
 
+def test_marginal_refuses_unknown_population():
+    with pytest.raises(DataValidationError, match="unknown population 'bogus'"):
+        marginal_cdf(ImperfectModel("perfect"), 3, 1, 0.5, population="bogus")
+
+
 def test_marginal_slot_out_of_range():
     with pytest.raises(ValueError):
         marginal_cdf(ImperfectModel("perfect"), 3, 4, 0.5)

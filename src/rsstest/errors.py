@@ -14,7 +14,7 @@ class TieError(DataValidationError):
 
 
 class EnumerationBudgetError(RssError):
-    """A full cross-cycle enumeration would exceed the configured budget."""
+    """A full cross-cycle enumeration would exceed the fixed enumeration budget."""
 
 
 class ExactEngineCapError(RssError):

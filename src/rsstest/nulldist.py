@@ -8,10 +8,13 @@ value, and on the next atom inside reject with probability gamma, chosen
 so the test's size is exactly alpha.  Every statistic rejects in its
 upper tail except Wstar, which rejects low.  `CriticalValues.rejects`
 states that rule once, and `decisions` the outcomes it lets a test reach
-(`run_test` and reloaded results read both); `power` and `verify` apply it.
+(`run_test` and every `TestResult` read both); `power` and `verify` apply it.
 
-Serialisation is a small versioned JSON document with probabilities as
-"numerator/denominator" strings, so saved tables reload bit-exactly.
+Each value type checks its invariants at construction, in `__post_init__`,
+so a result built in code is refused exactly where its reloaded JSON would
+be; the `from_json_dict` loaders only parse.  Serialisation is a small
+versioned JSON document with probabilities as "numerator/denominator"
+strings, so saved tables reload bit-exactly.
 """
 
 from __future__ import annotations
@@ -222,6 +225,15 @@ class CriticalValues:
     boundary: int | None
     tail: str  # "upper" | "lower", the null distribution's
 
+    def __post_init__(self) -> None:
+        if not 0 <= self.attained_level <= 1 or not 0 <= self.gamma < 1:
+            raise DataValidationError(
+                f"attained level {self.attained_level} must lie in [0, 1] "
+                f"and gamma {self.gamma} in [0, 1)"
+            )
+        if self.boundary is None and self.gamma:
+            raise DataValidationError(f"gamma {self.gamma} needs a boundary atom")
+
     def rejects(self, t, u=None):
         """Whether the test rejects at `t`, an int or an int64/object array:
         at or beyond cv, and given uniform(s) `u`, on the boundary atom
@@ -282,6 +294,30 @@ class TestResult:
     randomized: bool
     provenance: Provenance
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.randomized, bool):
+            raise DataValidationError(f"randomized must be a boolean, not {self.randomized!r}")
+        lo, hi = statistic_range(self.kind, self.k, self.n)
+        if not lo <= self.observed <= hi:
+            raise DataValidationError(
+                f"observed {self.kind.value} {self.observed} escapes its range "
+                f"[{lo}, {hi}] for k={self.k}, n={self.n}"
+            )
+        if not (0 < self.alpha <= 1 and 0 <= self.p_value <= 1 and self.attained_level <= self.alpha):
+            raise DataValidationError(
+                f"alpha {self.alpha} must lie in (0, 1], p-value {self.p_value} in [0, 1] "
+                f"and attained level {self.attained_level} in [0, alpha]"
+            )
+        crit = CriticalValues(
+            self.critical_value, self.attained_level, self.gamma, self.boundary, self.tail
+        )
+        if self.decision not in crit.decisions(self.observed, self.randomized):
+            raise DataValidationError(
+                f"decision {self.decision.value!r} does not follow from observed "
+                f"{self.observed}, critical value {self.critical_value}, boundary "
+                f"{self.boundary}, gamma {self.gamma} and randomized {self.randomized}"
+            )
+
     @property
     def tail(self) -> str:
         return "lower" if is_lower_tail(self.kind) else "upper"
@@ -335,20 +371,9 @@ class TestResult:
             randomized=doc["randomized"],
             provenance=Provenance.from_json_dict(doc["null"]),
         )
-        if doc["tail"] != result.tail or not isinstance(doc["randomized"], bool):
+        if doc["tail"] != result.tail:
             raise DataValidationError(
-                f"{result.kind.value} needs tail {result.tail!r} and a boolean randomized, "
-                f"not {doc['tail']!r} and {doc['randomized']!r}"
-            )
-        crit = CriticalValues(
-            result.critical_value, result.attained_level, result.gamma, result.boundary,
-            result.tail,
-        )
-        if result.decision not in crit.decisions(result.observed, result.randomized):
-            raise DataValidationError(
-                f"decision {result.decision.value!r} does not follow from observed "
-                f"{result.observed}, critical value {result.critical_value}, boundary "
-                f"{result.boundary}, gamma {result.gamma} and randomized {result.randomized}"
+                f"{result.kind.value} rejects in its {result.tail} tail, not {doc['tail']!r}"
             )
         return result
 

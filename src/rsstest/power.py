@@ -17,6 +17,10 @@ or grid overflow that layout.  Null critical values come from
 (`NullSource.is_exact`); a Monte Carlo null defaults to the study seed,
 and its stream indices are disjoint from the power stream indices by
 construction.
+
+Each value type checks its invariants at construction, in `__post_init__`:
+a `PowerTable` built in code is refused exactly where its reloaded JSON
+would be, and the `from_json_dict` loaders only parse.
 """
 
 from __future__ import annotations
@@ -78,6 +82,8 @@ class PowerStudy:
             raise DataValidationError("alpha must lie strictly between 0 and 1")
         if self.reps < 1:
             raise DataValidationError("reps must be at least 1")
+        if not isinstance(self.seed, int):
+            raise DataValidationError(f"the seed must be an integer, not {self.seed!r}")
         if self.reps > _LAMBDA_STRIDE * CHUNK_SIZE:
             raise DataValidationError("reps beyond the supported stream layout")
         if len(grid) > (MODEL_STREAM_BASE - POWER_STREAM_BASE) // _LAMBDA_STRIDE:
@@ -114,7 +120,7 @@ class PowerStudy:
             lambda_grid=tuple(float(v) for v in doc["lambda_grid"]),
             alpha=Fraction(doc["alpha"]),
             reps=int(doc["reps"]),
-            seed=int(doc["seed"]),
+            seed=doc["seed"],
             population=doc["population"],
             null=NullSource(
                 method=nd["method"],
@@ -134,6 +140,13 @@ class PowerCell:
     rejections: int
     reps: int
 
+    def __post_init__(self) -> None:
+        if self.reps < 1 or not 0 <= self.rejections <= self.reps:
+            raise DataValidationError(
+                f"cell {self.kind.value} at {self.lam:g} counts {self.rejections} rejections "
+                f"in {self.reps} reps per cell; reps must be positive and rejections in 0..reps"
+            )
+
     @property
     def power(self) -> float:
         return self.rejections / self.reps
@@ -151,6 +164,26 @@ class PowerTable:
     study: PowerStudy
     cells: tuple[PowerCell, ...]
     null_provenance: tuple[tuple[StatisticKind, Provenance], ...]
+
+    def __post_init__(self) -> None:
+        study = self.study
+        pairs = sorted((c.kind, c.lam) for c in self.cells)
+        if pairs != sorted(itertools.product(study.kinds, study.lambda_grid)):
+            raise DataValidationError(
+                "a power table needs one cell for each of its study's statistics "
+                "at each grid value, and no other"
+            )
+        for c in self.cells:
+            if c.reps != study.reps:
+                raise DataValidationError(
+                    f"cell {c.kind.value} at {c.lam:g} has {c.reps} reps; "
+                    f"the study runs {study.reps} reps per cell"
+                )
+        if sorted(kind for kind, _ in self.null_provenance) != sorted(study.kinds):
+            raise DataValidationError(
+                "a power table needs one null provenance row for each of its study's "
+                "statistics, and no other"
+            )
 
     def cell(self, kind: StatisticKind, lam: float) -> PowerCell:
         for c in self.cells:
@@ -201,7 +234,7 @@ class PowerTable:
             raise DataValidationError(
                 f"not a {POWER_TABLE_FORMAT} document: {doc.get('format')!r}"
             )
-        table = cls(
+        return cls(
             study=PowerStudy.from_json_dict(doc["study"]),
             cells=tuple(
                 PowerCell(
@@ -217,20 +250,6 @@ class PowerTable:
                 for p in doc["null_provenance"]
             ),
         )
-        study = table.study
-        pairs = sorted((c.kind, c.lam) for c in table.cells)
-        if pairs != sorted(itertools.product(study.kinds, study.lambda_grid)):
-            raise DataValidationError(
-                "a power table needs one cell for each of its study's statistics "
-                "at each grid value, and no other"
-            )
-        for c in table.cells:
-            if c.reps != study.reps or not 0 <= c.rejections <= c.reps:
-                raise DataValidationError(
-                    f"cell {c.kind.value} at {c.lam:g} has {c.rejections} rejections in "
-                    f"{c.reps} reps; the study runs {study.reps} reps per cell"
-                )
-        return table
 
     @classmethod
     def from_json(cls, text: str) -> "PowerTable":

@@ -90,19 +90,17 @@ def tuple_discrepancies(values: tuple[float, ...]) -> tuple[int, int, int]:
     return n_stat, a_stat, s_stat
 
 
-def brute_force_perm_all(
-    sample: RssSample, budget: int = DEFAULT_ENUMERATION_BUDGET
-) -> tuple[int, int, int]:
+def brute_force_perm_all(sample: RssSample) -> tuple[int, int, int]:
     """(PN, PA, PS) by full enumeration of all n^k recombinations.
 
     This is the defining computation and the oracle for `evaluate`; it
-    refuses grids whose n^k exceeds `budget`.
+    refuses grids whose n^k exceeds DEFAULT_ENUMERATION_BUDGET.
     """
     k, n = sample.k, sample.n
     total = n**k
-    if total > budget:
+    if total > DEFAULT_ENUMERATION_BUDGET:
         raise EnumerationBudgetError(
-            f"enumerating {total} recombined samples exceeds the budget of {budget}; "
+            f"enumerating {total} recombined samples exceeds {DEFAULT_ENUMERATION_BUDGET}; "
             "use evaluate, which computes PN, PA and PS without enumeration"
         )
     rows = sample.values

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -467,9 +468,29 @@ def test_test_result_json_round_trip():
     assert TestResult.from_json(result.to_json()) == result
 
 
-def test_test_result_reload_refuses_inconsistent_fields():
+ROUTES = ("reload", "construct")
+
+
+def rebuilt(route: str, result, **fields):
+    """`result` with fields replaced by JSON values, rebuilt by reloading its
+    edited JSON ("reload") or by `dataclasses.replace` ("construct")."""
+    from rsstest import TestResult
+
+    if route == "reload":
+        return TestResult.from_json_dict(result.to_json_dict() | fields)
+    parse = {"decision": Decision} | dict.fromkeys(
+        ("p_value", "alpha", "attained_level", "gamma"), Fraction
+    )
+    return dataclasses.replace(
+        result, **{key: parse.get(key, lambda v: v)(value) for key, value in fields.items()}
+    )
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_test_result_reload_refuses_inconsistent_fields(route):
     # tail follows from the kind and randomized must be a JSON boolean;
-    # a reload that contradicts either is refused, and JSON is unchanged
+    # a reload that contradicts either is refused, and JSON is unchanged.
+    # tail is no field, so a direct construction can only get randomized wrong
     from rsstest import TestResult
 
     s = make_sample([[5, 6], [1, 2]])
@@ -477,49 +498,75 @@ def test_test_result_reload_refuses_inconsistent_fields():
     assert result.tail == "lower"
     text = result.to_json()
     assert TestResult.from_json(text).to_json() == text
-    for key, bad in (("tail", "upper"), ("tail", "sideways"), ("randomized", "false"), ("randomized", 0)):
-        doc = result.to_json_dict() | {key: bad}
+    cases = [("randomized", "false"), ("randomized", 0)]
+    if route == "reload":
+        cases += [("tail", "upper"), ("tail", "sideways")]
+    for key, bad in cases:
         with pytest.raises(DataValidationError, match=key):
-            TestResult.from_json_dict(doc)
+            rebuilt(route, result, **{key: bad})
 
 
-def test_test_result_reload_refuses_a_decision_its_fields_do_not_give():
-    # PA on 2x2 at alpha 0.05: cv 6, boundary 4; a run_test JSON edited to
+@pytest.mark.parametrize("route", ROUTES)
+def test_test_result_reload_refuses_a_decision_its_fields_do_not_give(route):
+    # PA on 2x2 at alpha 0.05: cv 6, boundary 4; a run_test result edited to
     # claim a randomized rejection it could not have made is refused
-    from rsstest import TestResult
-
     dist = exact_null_distribution(K.PA, 2, 2)
     nested = run_test(make_sample([[1, 2], [4, 3]]), K.PA, dist, "0.05")
     assert (nested.observed, nested.critical_value, nested.boundary) == (0, 6, 4)
-    doc = nested.to_json_dict()
-    with pytest.raises(DataValidationError, match="decision"):
-        TestResult.from_json_dict(doc | {"decision": "rejectWithProbabilityGamma"})
-    with pytest.raises(DataValidationError, match="decision"):
-        TestResult.from_json_dict(doc | {"decision": "reject"})
+    for decision in ("rejectWithProbabilityGamma", "reject"):
+        with pytest.raises(DataValidationError, match="decision"):
+            rebuilt(route, nested, decision=decision)
     # an outright rejection can only be reported as one
-    inverted = run_test(make_sample([[5, 6], [1, 2]]), K.PA, dist, "0.05").to_json_dict()
-    assert inverted["decision"] == "reject"
+    inverted = run_test(make_sample([[5, 6], [1, 2]]), K.PA, dist, "0.05")
+    assert inverted.decision is Decision.REJECT
     for decision in ("acceptNull", "rejectWithProbabilityGamma"):
         with pytest.raises(DataValidationError, match="decision"):
-            TestResult.from_json_dict(inverted | {"decision": decision})
+            rebuilt(route, inverted, decision=decision)
     # on the boundary atom a randomized test may go either way, a plain one
     # only accepts; a boundary without gamma never randomizes
-    boundary = run_test(make_sample([[5, 2], [4, 3]]), K.PA, dist, "0.05").to_json_dict()
-    assert (boundary["observed"], boundary["decision"]) == (4, "acceptNull")
+    boundary = run_test(make_sample([[5, 2], [4, 3]]), K.PA, dist, "0.05")
+    assert (boundary.observed, boundary.decision) == (4, Decision.ACCEPT)
     for decision in ("acceptNull", "rejectWithProbabilityGamma"):
-        doc = boundary | {"randomized": True, "decision": decision}
-        assert TestResult.from_json_dict(doc).decision.value == decision
-    for doc in (
-        boundary | {"decision": "rejectWithProbabilityGamma"},
-        boundary | {"randomized": True, "decision": "rejectWithProbabilityGamma", "gamma": "0/1"},
-        boundary | {"randomized": True, "decision": "reject"},
+        again = rebuilt(route, boundary, randomized=True, decision=decision)
+        assert again.decision.value == decision
+    for fields in (
+        {"decision": "rejectWithProbabilityGamma"},
+        {"randomized": True, "decision": "rejectWithProbabilityGamma", "gamma": "0/1"},
+        {"randomized": True, "decision": "reject"},
     ):
         with pytest.raises(DataValidationError, match="decision"):
-            TestResult.from_json_dict(doc)
+            rebuilt(route, boundary, **fields)
     # the lower tail mirrors it: Wstar rejects at or below its cv
     wstar = run_test(
         make_sample([[5, 6], [1, 2]]), K.WSTAR, exact_null_distribution(K.WSTAR, 2, 2), "0.05"
-    ).to_json_dict()
-    assert wstar["observed"] <= wstar["critical_value"] and wstar["decision"] == "reject"
+    )
+    assert wstar.observed <= wstar.critical_value and wstar.decision is Decision.REJECT
     with pytest.raises(DataValidationError, match="decision"):
-        TestResult.from_json_dict(wstar | {"decision": "acceptNull"})
+        rebuilt(route, wstar, decision="acceptNull")
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_test_result_refuses_numbers_no_test_can_produce(route):
+    # PA on 2x2 ranges over 0..8; without the range checks each edit of this
+    # accepting result would still decide acceptNull
+    nested = run_test(
+        make_sample([[1, 2], [4, 3]]), K.PA, exact_null_distribution(K.PA, 2, 2), "0.05"
+    )
+    assert nested.gamma > 0 and nested.decision is Decision.ACCEPT
+    for fields, match in (
+        ({"gamma": "3/2"}, "gamma"),
+        ({"gamma": "1/1"}, "gamma"),
+        ({"gamma": "-1/4"}, "gamma"),
+        ({"boundary": None}, "boundary"),
+        ({"attained_level": "-1/8"}, "attained level"),
+        ({"attained_level": "5/1"}, "attained level"),
+        ({"alpha": "0/1"}, "alpha"),
+        ({"alpha": "3/2"}, "alpha"),
+        ({"p_value": "2"}, "p-value"),
+        ({"p_value": "-1/2"}, "p-value"),
+        ({"observed": -50}, "range"),
+        ({"observed": 9}, "range"),
+    ):
+        with pytest.raises(DataValidationError, match=match):
+            rebuilt(route, nested, **fields)
+    assert rebuilt(route, nested, alpha="1/1", observed=2).observed == 2

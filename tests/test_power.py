@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from collections import Counter
 from fractions import Fraction
@@ -11,8 +12,10 @@ import pytest
 from rsstest import (
     DataValidationError,
     NullSource,
+    PowerCell,
     PowerStudy,
     PowerTable,
+    Provenance,
     StatisticKind,
     compare_tests,
     estimate_power,
@@ -63,6 +66,11 @@ def test_study_validation():
         small_study(kinds=(K.PA, K.PA, K.J))
     with pytest.raises(DataValidationError, match="repeats"):
         small_study(lambda_grid=(0.5, 0.5))
+    # a seed that is no integer would reach the stream arithmetic, or JSON as null
+    with pytest.raises(DataValidationError, match="seed"):
+        small_study(seed=None)
+    with pytest.raises(DataValidationError, match="seed"):
+        PowerStudy.from_json_dict(small_study().to_json_dict() | {"seed": None})
     # grid point i draws from stream POWER_STREAM_BASE + i * 2^20 + chunk,
     # so reps fill at most 2^20 chunks and the grid ends below the model streams
     with pytest.raises(DataValidationError, match="stream layout"):
@@ -295,24 +303,36 @@ def test_power_table_json_round_trip():
     assert again.to_json_dict() == table.to_json_dict()
 
 
-def test_power_table_reload_refuses_impossible_cells():
+ROUTES = ("reload", "construct")
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_power_table_reload_refuses_impossible_cells(route):
     table = estimate_power(small_study(kinds=(K.PA, K.J), reps=100))
     doc = table.to_json_dict()
     assert PowerTable.from_json_dict(doc).to_json_dict() == doc
 
-    def edited(index: int, **fields) -> dict:
+    def rebuilt(cells: list[dict]) -> PowerTable:
+        """`table` with these JSON cells, reloaded or built directly."""
+        if route == "reload":
+            return PowerTable.from_json_dict(doc | {"cells": cells})
+        return dataclasses.replace(table, cells=tuple(
+            PowerCell(K.from_tag(c["kind"]), c["lambda"], c["rejections"], c["reps"]) for c in cells
+        ))
+
+    def edited(index: int, **fields) -> list[dict]:
         cells = [dict(c) for c in doc["cells"]]
         cells[index].update(fields)
-        return doc | {"cells": cells}
+        return cells
 
     # an edited cell that would reload with power 9/7
     for bad in (edited(0, reps=7, rejections=9), edited(0, reps=7), edited(1, reps=200)):
         with pytest.raises(DataValidationError, match="reps per cell"):
-            PowerTable.from_json_dict(bad)
+            rebuilt(bad)
     for rejections in (-1, 101):
         with pytest.raises(DataValidationError, match="rejections"):
-            PowerTable.from_json_dict(edited(2, rejections=rejections))
-    assert PowerTable.from_json_dict(edited(2, rejections=100)).cells[2].power == 1.0
+            rebuilt(edited(2, rejections=rejections))
+    assert rebuilt(edited(2, rejections=100)).cells[2].power == 1.0
     # the cells must be the study's statistics times its grid, each pair once
     cells = doc["cells"]
     for bad_cells in (
@@ -323,9 +343,30 @@ def test_power_table_reload_refuses_impossible_cells():
         [dict(cells[0], **{"lambda": 0.25})] + cells[1:],
     ):
         with pytest.raises(DataValidationError, match="one cell for each"):
-            PowerTable.from_json_dict(doc | {"cells": bad_cells})
+            rebuilt(bad_cells)
     # cell order is free
-    assert PowerTable.from_json_dict(doc | {"cells": cells[::-1]}).cells[0].kind is K.J
+    assert rebuilt(cells[::-1]).cells[0].kind is K.J
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_power_table_refuses_null_provenance_not_one_row_per_statistic(route):
+    table = estimate_power(small_study(kinds=(K.PA, K.J), reps=100))
+    doc = table.to_json_dict()
+    rows = doc["null_provenance"]
+
+    def rebuilt(rows: list[dict]) -> PowerTable:
+        if route == "reload":
+            return PowerTable.from_json_dict(doc | {"null_provenance": rows})
+        return dataclasses.replace(table, null_provenance=tuple(
+            (K.from_tag(r["kind"]), Provenance.from_json_dict(r)) for r in rows
+        ))
+
+    # missing, foreign and repeated statistics
+    for bad in (rows[:1], [rows[0], dict(rows[1], kind="Wstar")], [], rows + [rows[0]]):
+        with pytest.raises(DataValidationError, match="null provenance"):
+            rebuilt(bad)
+    # row order is free
+    assert rebuilt(rows[::-1]).null_provenance[0][0] is K.J
 
 
 def test_power_table_csv_orientation():

@@ -174,9 +174,11 @@ def test_brute_force_hand_enumeration():
 
 
 def test_brute_force_budget_refusal():
-    s = make_sample([[i * 10 + l for l in range(5)] for i in range(5)])
+    # 8^8 = 16,777,216 recombinations exceed the fixed budget; the refusal
+    # comes before any enumeration
+    s = make_sample([[i * 10 + l for l in range(8)] for i in range(8)])
     with pytest.raises(EnumerationBudgetError, match="evaluate"):
-        brute_force_perm_all(s, budget=1000)
+        brute_force_perm_all(s)
 
 
 def test_fast_pa_hand_value():

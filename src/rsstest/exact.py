@@ -29,9 +29,9 @@ the k x 1 pmf of its `CYCLE_OF` kind.  As the n cycles are i.i.d., each
 pmf is F(v)^n - F(v-)^n.  `_pmf` caches every pmf it builds, per
 (k, n, statistic).
 
-The engine refuses grids above `max_cells` (kn <= 8 by default, kn <= 10
-as an explicit opt-in, never more) and points callers at the Monte Carlo
-engine instead.
+`exact_pmf` builds one statistic's chain only, `exact_distributions` all
+eleven; `check_exact_cap` alone words the refusal of grids above `max_cells`
+(kn <= 8 by default, kn <= 10 as an opt-in, never more).
 """
 
 from __future__ import annotations
@@ -61,16 +61,28 @@ def exact_distributions(
     k: int, n: int, max_cells: int = DEFAULT_EXACT_CELL_CAP
 ) -> dict[StatisticKind, dict[int, Fraction]]:
     """Exact pmf of every statistic on a k x n grid, as rationals."""
+    return {kind: exact_pmf(kind, k, n, max_cells) for kind in K}
+
+
+def exact_pmf(
+    kind: StatisticKind, k: int, n: int, max_cells: int = DEFAULT_EXACT_CELL_CAP
+) -> dict[int, Fraction]:
+    """Exact pmf of one statistic, values ascending; builds only its own chain."""
+    check_exact_cap(k, n, max_cells)
+    return dict(_pmf(k, n, kind))
+
+
+def check_exact_cap(k: int, n: int, max_cells: int = DEFAULT_EXACT_CELL_CAP) -> None:
+    """Refuse a k x n grid above min(max_cells, OPT_IN_EXACT_CELL_CAP) cells."""
     if k < 1 or n < 1:
         raise ValueError("k and n must be positive")
     cap = min(max_cells, OPT_IN_EXACT_CELL_CAP)
     if k * n > cap:
         raise ExactEngineCapError(
-            f"exact enumeration of a {k}x{n} grid needs kn={k * n} cells, above the "
-            f"cap of {cap} (max_cells opts in up to {OPT_IN_EXACT_CELL_CAP}; beyond "
-            "that use mc_null_distribution)"
+            f"an exact null for a {k}x{n} grid needs kn={k * n} cells, above the cap of {cap}; "
+            + (f"raise the cap to {k * n} or " if k * n <= OPT_IN_EXACT_CELL_CAP else "")
+            + "use a Monte Carlo null (mc_null_distribution)"
         )
-    return {kind: dict(_pmf(k, n, kind)) for kind in K}
 
 
 @lru_cache(maxsize=None)

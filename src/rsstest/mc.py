@@ -8,10 +8,10 @@ in one run shares the simulated samples, which is both cheaper and
 harmless: each statistic's marginal null distribution is what the tables
 need.
 
-`NullSource` is the package's one null policy, exact engine or Monte
-Carlo: `NullSource.is_exact(k, n)` picks the route and
-`null_distributions_for(kinds, k, n, source, seed)` builds the nulls.  The
-CLI and power studies resolve every null through them.
+`NullSource` is the package's one null policy: `NullSource.is_exact(k, n)`
+picks the exact engine or Monte Carlo, and refuses a forced "exact" above
+the cap through `exact.check_exact_cap`; `null_distributions_for` builds
+the nulls, for the CLI and power studies alike.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from typing import Callable, Iterable, TypeVar
 import numpy as np
 
 from .batch import evaluate_batch
-from .errors import DataValidationError, ExactEngineCapError
-from .exact import DEFAULT_EXACT_CELL_CAP, OPT_IN_EXACT_CELL_CAP
+from .errors import DataValidationError
+from .exact import DEFAULT_EXACT_CELL_CAP, OPT_IN_EXACT_CELL_CAP, check_exact_cap
 from .models import ImperfectModel, draw_cells
 from .nulldist import NullDistribution, Provenance, exact_null_distribution
 from .statistics import StatisticKind
@@ -143,6 +143,10 @@ class NullSource:
             raise DataValidationError(
                 f"unknown null method {self.method!r}; expected one of {NULL_METHODS}"
             )
+        for name in ("reps", "seed", "exact_cells_cap"):
+            value = getattr(self, name)
+            if type(value) is not int and not (name == "seed" and value is None):
+                raise DataValidationError(f"null {name} must be an integer, not {value!r}")
         if self.reps < 1:
             raise DataValidationError(f"null reps must be at least 1, got {self.reps}")
         if not 0 <= self.exact_cells_cap <= OPT_IN_EXACT_CELL_CAP:
@@ -153,15 +157,10 @@ class NullSource:
 
     def is_exact(self, k: int, n: int) -> bool:
         """Whether a k x n null is exact; a forced "exact" above the cap is refused."""
-        fits = k * n <= self.exact_cells_cap
-        if self.method == "exact" and not fits:
-            raise ExactEngineCapError(
-                f"exact null for a {k}x{n} grid needs kn={k * n} <= the exact cap of "
-                f"{self.exact_cells_cap}; "
-                + (f"raise the cap to {k * n} or " if k * n <= OPT_IN_EXACT_CELL_CAP else "")
-                + "use a Monte Carlo null"
-            )
-        return self.method == "exact" or (self.method == "auto" and fits)
+        if self.method == "exact":
+            check_exact_cap(k, n, self.exact_cells_cap)
+            return True
+        return self.method == "auto" and k * n <= self.exact_cells_cap
 
 
 def null_distributions_for(

@@ -2,13 +2,14 @@
 
 A `NullDistribution` is a discrete distribution over integer statistic
 values with exact rational probabilities: true rationals from the exact
-engine, or counts/reps from Monte Carlo.  Critical values follow the
-randomized-test construction: reject outright at or beyond the critical
-value, and on the next atom inside reject with probability gamma, chosen
-so the test's size is exactly alpha.  Every statistic rejects in its
-upper tail except Wstar, which rejects low.  `CriticalValues.rejects`
-states that rule once, and `decisions` the outcomes it lets a test reach
-(`run_test` and every `TestResult` read both); `power` and `verify` apply it.
+engine, for the one statistic asked for, or counts/reps from Monte Carlo.
+Critical values follow the randomized-test construction: reject outright at
+or beyond the critical value, and on the next atom inside reject with
+probability gamma, chosen so the test's size is exactly alpha.  Every
+statistic rejects in its upper tail except Wstar, which rejects low.
+`CriticalValues.rejects` states that rule once, and `decisions` the outcomes
+it lets a test reach (`run_test` and every `TestResult` read both); `power`
+and `verify` apply it.
 
 Each value type checks its invariants at construction, in `__post_init__`,
 so a result built in code is refused exactly where its reloaded JSON would
@@ -29,7 +30,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DataValidationError, DistributionMismatchError
-from .exact import DEFAULT_EXACT_CELL_CAP, exact_distributions
+from .exact import DEFAULT_EXACT_CELL_CAP, exact_pmf
 from .sample import RssSample
 from .statistics import StatisticKind, evaluate, is_lower_tail, statistic_range
 
@@ -86,6 +87,10 @@ class Provenance:
         elif self.method == "monte-carlo":
             if self.seed is None or self.reps is None:
                 raise ValueError("monte-carlo provenance needs seed and reps")
+            if type(self.seed) is not int or type(self.reps) is not int:
+                raise DataValidationError(
+                    f"monte-carlo seed {self.seed!r} and reps {self.reps!r} must be integers"
+                )
         else:
             raise ValueError(f"unknown provenance method {self.method!r}")
 
@@ -189,16 +194,8 @@ def exact_null_distribution(
     kind: StatisticKind, k: int, n: int, max_cells: int = DEFAULT_EXACT_CELL_CAP
 ) -> NullDistribution:
     """The exact null distribution of `kind`, for grids within the cap."""
-    pmf = exact_distributions(k, n, max_cells=max_cells)[kind]
-    support = tuple(sorted(pmf))
-    return NullDistribution(
-        kind=kind,
-        k=k,
-        n=n,
-        support=support,
-        probs=tuple(pmf[v] for v in support),
-        provenance=Provenance("exact"),
-    )
+    pmf = exact_pmf(kind, k, n, max_cells)
+    return NullDistribution(kind, k, n, tuple(pmf), tuple(pmf.values()), Provenance("exact"))
 
 
 class Decision(str, Enum):
@@ -226,6 +223,8 @@ class CriticalValues:
     tail: str  # "upper" | "lower", the null distribution's
 
     def __post_init__(self) -> None:
+        if self.tail not in ("upper", "lower"):
+            raise DataValidationError(f"tail must be 'upper' or 'lower', not {self.tail!r}")
         if not 0 <= self.attained_level <= 1 or not 0 <= self.gamma < 1:
             raise DataValidationError(
                 f"attained level {self.attained_level} must lie in [0, 1] "
@@ -295,6 +294,13 @@ class TestResult:
     provenance: Provenance
 
     def __post_init__(self) -> None:
+        try:
+            kind = StatisticKind.from_tag(self.kind)
+            decision = Decision(self.decision)
+        except ValueError as err:
+            raise DataValidationError(str(err)) from None
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "decision", decision)
         if not isinstance(self.randomized, bool):
             raise DataValidationError(f"randomized must be a boolean, not {self.randomized!r}")
         lo, hi = statistic_range(self.kind, self.k, self.n)
@@ -357,7 +363,7 @@ class TestResult:
                 f"not a {TEST_RESULT_FORMAT} document: {doc.get('format')!r}"
             )
         result = cls(
-            kind=StatisticKind.from_tag(doc["kind"]),
+            kind=doc["kind"],
             k=int(doc["k"]),
             n=int(doc["n"]),
             observed=int(doc["observed"]),
@@ -367,7 +373,7 @@ class TestResult:
             attained_level=Fraction(doc["attained_level"]),
             gamma=Fraction(doc["gamma"]),
             boundary=None if doc["boundary"] is None else int(doc["boundary"]),
-            decision=Decision(doc["decision"]),
+            decision=doc["decision"],
             randomized=doc["randomized"],
             provenance=Provenance.from_json_dict(doc["null"]),
         )

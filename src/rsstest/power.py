@@ -122,12 +122,7 @@ class PowerStudy:
             reps=int(doc["reps"]),
             seed=doc["seed"],
             population=doc["population"],
-            null=NullSource(
-                method=nd["method"],
-                reps=int(nd["reps"]),
-                seed=None if nd["seed"] is None else int(nd["seed"]),
-                exact_cells_cap=int(nd["exact_cells_cap"]),
-            ),
+            null=NullSource(nd["method"], nd["reps"], nd["seed"], nd["exact_cells_cap"]),
         )
 
 

@@ -20,8 +20,10 @@ from rsstest import (
     OPT_IN_EXACT_CELL_CAP,
     ExactEngineCapError,
     ImperfectModel,
+    NullSource,
     StatisticKind,
     exact_distributions,
+    exact_null_distribution,
     format_probability,
     round_half_up,
     slot_density,
@@ -287,6 +289,28 @@ def test_cap_never_exceeds_opt_in_ceiling():
         exact_distributions(3, 4, max_cells=12)
     assert time.perf_counter() - start < 1.0
     assert _pmf.cache_info().misses == misses
+
+
+def test_one_exact_null_builds_only_its_own_chain():
+    # J is its own DP; PN is J pushed through affine_base; N_sum is the
+    # n-fold sum of the 4 x 1 PN, itself built from the 4 x 1 J
+    from rsstest.exact import _pmf
+
+    for kind, chain in ((K.J, 1), (K.PN, 2), (K.N_SUM, 3)):
+        _pmf.cache_clear()
+        exact_null_distribution(kind, 4, 2)
+        assert _pmf.cache_info().currsize == chain
+
+
+def test_cap_refusal_is_worded_once():
+    # a forced exact null above the cap is refused with the engine's own words
+    for k, n, cap in ((3, 3, 8), (5, 4, 10)):
+        with pytest.raises(ExactEngineCapError) as engine:
+            exact_distributions(k, n, max_cells=cap)
+        with pytest.raises(ExactEngineCapError) as source:
+            NullSource("exact", exact_cells_cap=cap).is_exact(k, n)
+        assert str(source.value) == str(engine.value)
+        assert ("raise the cap" in str(engine.value)) == (k * n <= OPT_IN_EXACT_CELL_CAP)
 
 
 def test_opt_in_cap_allows_nine_cells():

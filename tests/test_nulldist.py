@@ -92,6 +92,7 @@ def test_provenance_validation():
         Provenance("guesswork")
 
 
+
 # ---------------------------------------------------------------------------
 # critical values
 # ---------------------------------------------------------------------------
@@ -119,6 +120,14 @@ def test_critical_value_sentinel_beyond_support():
     assert crit.attained_level == 0
     assert crit.boundary == 1
     assert crit.gamma == Fraction(1, 2)
+
+
+def test_critical_values_refuse_an_unknown_tail():
+    from rsstest import CriticalValues
+
+    with pytest.raises(DataValidationError, match="sideways"):
+        CriticalValues(6, Fraction(0), Fraction(0), None, "sideways")
+    assert CriticalValues(6, Fraction(0), Fraction(0), None, "lower").rejects(5)
 
 
 def test_critical_value_alpha_one():
@@ -487,6 +496,21 @@ def rebuilt(route: str, result, **fields):
 
 
 @pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize(
+    "field,bad", [("seed", 2.5), ("seed", True), ("reps", 2000.7), ("reps", True)]
+)
+def test_provenance_refuses_a_seed_or_reps_that_is_no_integer(route, field, bad):
+    dist = mc_null_distribution(K.PA, 2, 2, 100, seed=3)
+    with pytest.raises(DataValidationError, match="integers"):
+        if route == "reload":
+            doc = dist.to_json_dict()
+            doc["provenance"][field] = bad
+            NullDistribution.from_json_dict(doc)
+        else:
+            dataclasses.replace(dist.provenance, **{field: bad})
+
+
+@pytest.mark.parametrize("route", ROUTES)
 def test_test_result_reload_refuses_inconsistent_fields(route):
     # tail follows from the kind and randomized must be a JSON boolean;
     # a reload that contradicts either is refused, and JSON is unchanged.
@@ -543,6 +567,34 @@ def test_test_result_reload_refuses_a_decision_its_fields_do_not_give(route):
     assert wstar.observed <= wstar.critical_value and wstar.decision is Decision.REJECT
     with pytest.raises(DataValidationError, match="decision"):
         rebuilt(route, wstar, decision="acceptNull")
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_test_result_coerces_or_refuses_kind_and_decision(route):
+    from rsstest import TestResult
+
+    result = run_test(
+        make_sample([[1, 2], [4, 3]]), K.PA, exact_null_distribution(K.PA, 2, 2), "0.05"
+    )
+    assert result.decision is Decision.ACCEPT
+
+    def edit(**fields):
+        if route == "reload":
+            return TestResult.from_json_dict(result.to_json_dict() | fields)
+        return dataclasses.replace(result, **fields)
+
+    # a plain string names its member, and the result serialises as before
+    same = edit(kind="PA", decision="acceptNull")
+    assert (same.kind, same.decision) == (K.PA, Decision.ACCEPT)
+    assert same.to_json() == result.to_json()
+    for fields, match in (
+        ({"decision": "accept"}, "Decision"),
+        ({"decision": None}, "Decision"),
+        ({"kind": "PB"}, "statistic"),
+        ({"kind": 7}, "statistic"),
+    ):
+        with pytest.raises(DataValidationError, match=match):
+            edit(**fields)
 
 
 @pytest.mark.parametrize("route", ROUTES)

@@ -114,6 +114,21 @@ def test_null_source_refuses_cap_outside_engine_range(cap):
         PowerTable.from_json_dict(doc)
 
 
+@pytest.mark.parametrize(
+    "field,bad",
+    [("reps", 2.5), ("reps", True), ("reps", 2000.7), ("exact_cells_cap", 8.5),
+     ("exact_cells_cap", True), ("seed", 2.5), ("seed", False), ("seed", "7")],
+)
+def test_null_source_refuses_numbers_that_are_no_integers(field, bad):
+    with pytest.raises(DataValidationError, match=f"null {field} must be an integer"):
+        NullSource("monte-carlo", **{field: bad})
+    # a reloaded study keeps the number it was given, rather than truncating it
+    doc = estimate_power(small_study(reps=100)).to_json_dict()
+    doc["study"]["null"][field] = bad
+    with pytest.raises(DataValidationError, match=f"null {field} must be an integer"):
+        PowerTable.from_json_dict(doc)
+
+
 def test_concomitant_forces_normal_population():
     study = small_study(model_tag="concomitant", lambda_grid=(0.5, 1.0))
     assert study.population == "normal"

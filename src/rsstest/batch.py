@@ -18,14 +18,25 @@ The kernel builds only the intermediates the requested kinds read:
 
 Both per-cycle intermediates come from k slab comparisons of one slot's
 values with every slot's, within each cycle.  The overall ranks are one
-argsort per sample.  The counts are slot-major, `counts[i]` the slot-i
-cells below each cell, a running count along the sorted order gathered
-back to the cells; J and PA are sums of `cell_shares` over the cells, in
-the same axis convention.  A PA share convolves only the shorter tail of
-the cell's rank distribution, and none at all for the first and last
-slots.  The other eight statistics are derived as `statistics` defines
-them: PN and PS through `affine_base` from J and Wstar, and each cycle
-kind through `CYCLE_OF` from the within-cycle N, A and S.
+argsort per sample.  J and PA are sums over the cells of `cell_shares`,
+which depend only on the cell's slot and the per-slot counts of cells
+below it.  A PA share convolves only the shorter tail of the cell's rank
+distribution, and none at all for the first and last slots.  The totals
+take one of two paths, chosen from the input's shape alone:
+
+  table  when the accumulator is int64 and the k (n+1)^k entries of
+         `share_table` are no more than the batch's B k n cells (at a
+         full chunk: 3x3, 4x5, 5x4 and 8x2, among others).  Along the
+         sorted order one count goes up per step, so the exclusive
+         running sum of (n+1)^slot, plus slot * (n+1)^k, indexes each
+         cell's share: one gather.
+  fold   otherwise (6x10, 10x10, object accumulators, small batches).
+         `_below_counts` builds the slot-major counts, `counts[i]` the
+         slot-i cells below each cell, and `cell_shares` folds them in.
+
+The other eight statistics are derived as `statistics` defines them: PN
+and PS through `affine_base` from J and Wstar, and each cycle kind
+through `CYCLE_OF` from the within-cycle N, A and S.
 
 Results are exact integers on every grid.  Rank counts (within-cycle
 ranks, J, Wstar) are at most k * (kn)^2 and stay int64; the per-slot
@@ -38,6 +49,7 @@ accumulators instead of wrapping.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -95,13 +107,10 @@ def evaluate_batch(
             ranks = np.arange(1, k * n + 1, dtype=np.int64)
             totals[StatisticKind.WSTAR] = (order // n + 1).dot(ranks)
         count_bases = bases - {StatisticKind.WSTAR}
-        if count_bases:
-            counts = _below_counts(order, k, n)
-            for base in count_bases:
-                totals[base] = sum(
-                    cell_shares(base, s, counts[:, :, s * n : (s + 1) * n], n, acc).sum(axis=1)
-                    for s in range(k)
-                )
+        if count_bases and acc is np.int64 and k * (n + 1) ** k <= b * k * n:
+            totals.update(_table_totals(order, count_bases, k, n))
+        elif count_bases:
+            totals.update(_fold_totals(order, count_bases, k, n, acc))
         for kind, (base, scale, offset) in affine.items():
             total = totals[base]
             out[kind] = total if base is kind else offset + scale * total.astype(acc, copy=False)
@@ -138,6 +147,36 @@ def _per_cycle(
     if StatisticKind.PS in bases:
         out[StatisticKind.PS] = (dev * dev).sum(axis=1)
     return out
+
+
+def _table_totals(
+    order: np.ndarray, bases: Iterable[StatisticKind], k: int, n: int
+) -> dict[StatisticKind, np.ndarray]:
+    """Each base's sum of cell shares, by one gather from `share_table`.
+
+    Along a sample's order exactly one count goes up per step, so the
+    exclusive cumulative sum of (n+1)^slot encodes the counts below each cell.
+    """
+    slot = order // n
+    step = np.take((n + 1) ** np.arange(k), slot)
+    index = np.cumsum(step, axis=1)
+    index -= step
+    index += slot * (n + 1) ** k
+    return {base: np.take(share_table(base, k, n), index).sum(axis=1) for base in bases}
+
+
+def _fold_totals(
+    order: np.ndarray, bases: Iterable[StatisticKind], k: int, n: int, acc: type
+) -> dict[StatisticKind, np.ndarray]:
+    """Each base's sum of cell shares, by `cell_shares` over the below-counts."""
+    counts = _below_counts(order, k, n)
+    return {
+        base: sum(
+            cell_shares(base, s, counts[:, :, s * n : (s + 1) * n], n, acc).sum(axis=1)
+            for s in range(k)
+        )
+        for base in bases
+    }
 
 
 def _below_counts(order: np.ndarray, k: int, n: int) -> np.ndarray:
@@ -218,3 +257,21 @@ def cell_shares(
             pmf[0] = pmf[0] * q
         share += 2 * sum((t - j) * p for j, p in enumerate(pmf))
     return share
+
+
+@lru_cache(maxsize=None)
+def share_table(kind: StatisticKind, k: int, n: int) -> np.ndarray:
+    """`cell_shares` of every slot s and count vector c on a k x n grid.
+
+    Entry s * (n+1)^k + sum_i c_i (n+1)^i is what a slot-s cell with c_i
+    slot-i cells below it adds, in `_accumulator(k, n)` integers.  The
+    table has k (n+1)^k entries, so only small grids can hold one.
+    Read-only, and built once per (kind, k, n).
+    """
+    radix = (n + 1) ** np.arange(k)
+    # slot-major: column v is the count vector whose code is v
+    counts = np.arange((n + 1) ** k) // radix[:, None] % (n + 1)
+    acc = _accumulator(k, n)
+    table = np.concatenate([cell_shares(kind, s, counts, n, acc) for s in range(k)])
+    table.flags.writeable = False
+    return table

@@ -9,8 +9,9 @@ from smallest to largest.  Its state is (c, partial statistic), c
 counting the cells of each slot placed so far: cells of a slot are
 i.i.d., and J, Wstar and PA are sums over cells of `batch.cell_shares`,
 an integer that depends only on the cell's slot s and the counts c below
-it (the Monte Carlo kernel sums the same shares); it is tabulated once
-per (statistic, k, n).
+it.  The shares are read from `batch.share_table`, built once per
+(statistic, k, n), the same table the Monte Carlo kernel gathers from on
+small grids; a state is keyed by c encoded as that table indexes it.
 Integration is linear, so the partial integrals of all prefixes reaching
 a state are summed.  They stay in integers, carried in the divided-power
 basis of t and 1 - t, e_(j,m) = t^j (1-t)^m / (j! m!): a slot's density
@@ -36,7 +37,6 @@ eleven; `check_exact_cap` alone words the refusal of grids above `max_cells`
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import defaultdict
 from fractions import Fraction
@@ -45,7 +45,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .batch import cell_shares
+from .batch import share_table
 from .errors import ExactEngineCapError
 from .models import ImperfectModel, slot_density
 from .statistics import CYCLE_OF, SUM_KINDS, StatisticKind, affine_base
@@ -81,7 +81,8 @@ def check_exact_cap(k: int, n: int, max_cells: int = DEFAULT_EXACT_CELL_CAP) -> 
         raise ExactEngineCapError(
             f"an exact null for a {k}x{n} grid needs kn={k * n} cells, above the cap of {cap}; "
             + (f"raise the cap to {k * n} or " if k * n <= OPT_IN_EXACT_CELL_CAP else "")
-            + "use a Monte Carlo null (mc_null_distribution)"
+            + "use a Monte Carlo null (--null mc on the command line, mc_null_distribution "
+            "in the library)"
         )
 
 
@@ -135,11 +136,13 @@ def _to_bernstein(coeffs: list[int]) -> list[int]:
 def _count_dp(k: int, n: int, kind: StatisticKind) -> Pmf:
     """Exact pmf of J, Wstar or PA on a k x n grid, by the DP over slot counts.
 
-    A layer maps each count vector c of the cells placed so far to
-    (v0, rows): row r holds the summed polynomial of the prefixes with
-    partial statistic v0 + r.  After `placed` cells every polynomial is
-    homogeneous of degree D = k * placed in t and 1 - t, and column j of a
-    row is its coefficient of e_(j, D-j) = t^j (1-t)^(D-j) / (j! (D-j)!).
+    A layer maps each count vector c of the cells placed so far, encoded
+    as `batch.share_table` indexes it, to (v0, lo, rows): row r holds the
+    summed polynomial of the prefixes with partial statistic v0 + r.
+    After `placed` cells every polynomial is homogeneous of degree
+    D = k * placed in t and 1 - t, and column j of a row is its
+    coefficient of e_(lo+j, D-lo-j), where e_(i, D-i) = t^i (1-t)^(D-i) /
+    (i! (D-i)!); the coefficients below e_(lo, D-lo) are zero and not stored.
     - Multiplying: a slot's density is sum_a b_a t^a (1-t)^(k-1-a)
       (`_to_bernstein`), and e_(j, D-j) times one term is
       b_a perm(j+a, a) perm(D-j+k-1-a, k-1-a) e_(j+a, D+k-1-j-a): one
@@ -147,6 +150,7 @@ def _count_dp(k: int, n: int, kind: StatisticKind) -> Pmf:
     - Integrating from 0 maps column j to every column above it, one
       degree up, so once every move into a state is summed, a cumulative
       sum along the columns, shifted one to the right, integrates them all.
+      A state's lo is therefore the least 1 + a + lo over its moves.
     - Reading the result: at t = 1 only e_(D, 0) = 1/D! is nonzero, so at
       the full state each probability is the last column times (n!)^k
       over (k^2 n)!, and the probabilities must sum to exactly 1.
@@ -154,13 +158,11 @@ def _count_dp(k: int, n: int, kind: StatisticKind) -> Pmf:
     are alive.
     """
     top = k * k * n
-    # share[s][c]: what a slot-s cell with counts c below it adds;
-    # cell_shares reads slot-major counts, one column per vector
-    vectors = list(itertools.product(range(n + 1), repeat=k))
-    share = [
-        dict(zip(vectors, cell_shares(kind, s, np.array(vectors).T, n, object).tolist()))
-        for s in range(k)
-    ]
+    # share[s * size + c]: what a slot-s cell with counts c below it adds,
+    # c encoded as sum_i c_i (n+1)^i
+    radix = [(n + 1) ** i for i in range(k)]
+    size = (n + 1) ** k
+    share = share_table(kind, k, n).tolist()
     # slot s's density (`slot_density`, scale 1 under perfect ranking), by
     # its nonzero terms b_a t^a (1-t)^(k-1-a): one term, k C(k-1, s) at a = s
     density = [
@@ -172,7 +174,7 @@ def _count_dp(k: int, n: int, kind: StatisticKind) -> Pmf:
         for s in range(k)
     ]
 
-    layer = {(0,) * k: (0, np.ones((1, 1), dtype=object))}
+    layer = {0: (0, 0, np.ones((1, 1), dtype=object))}
     for placed in range(1, k * n + 1):
         deg = k * (placed - 1)  # degree of the states being extended
         # weight[s][a][j]: what e_(j, deg-j) times slot s's t^a term puts on
@@ -192,32 +194,34 @@ def _count_dp(k: int, n: int, kind: StatisticKind) -> Pmf:
         ]
         sources = defaultdict(list)
         uses = {}  # successors of each state not yet built
-        for c, (v0, _) in layer.items():
-            slots = [s for s in range(k) if c[s] < n]
+        for c, (v0, _, _) in layer.items():
+            slots = [s for s in range(k) if c // radix[s] % (n + 1) < n]
             uses[c] = len(slots)
             for s in slots:
-                grown = c[:s] + (c[s] + 1,) + c[s + 1 :]
-                sources[grown].append((s, c, v0 + share[s][c]))
+                sources[c + radix[s]].append((s, c, v0 + share[s * size + c]))
         nxt = {}
         for grown, moves in sources.items():
             v0 = min(v for _, _, v in moves)
-            height = max(v + len(layer[c][1]) for _, c, v in moves) - v0
-            # products land one column right, so the cumulative sum leaves
-            # column 0 at 0 and sums only the columns below each one
-            out = np.zeros((height, deg + k + 1), dtype=object)
+            height = max(v + len(layer[c][2]) for _, c, v in moves) - v0
+            # products land one column right, so the cumulative sum adds to
+            # each column only the products of the columns below it
+            lo = min(1 + a + layer[c][1] for s, c, _ in moves for a in weight[s])
+            out = np.zeros((height, deg + k + 1 - lo), dtype=object)
             for s, c, v in moves:
-                rows = layer[c][1]
+                _, src_lo, rows = layer[c]
                 for a, w in weight[s].items():
-                    out[v - v0 : v - v0 + len(rows), 1 + a : 1 + a + deg + 1] += rows * w
+                    w = w[src_lo:]
+                    col = 1 + a + src_lo - lo
+                    out[v - v0 : v - v0 + len(rows), col : col + len(w)] += rows * w
                 uses[c] -= 1
                 if not uses[c]:
                     del layer[c]
             np.cumsum(out, axis=1, out=out)
-            nxt[grown] = (v0, out)
+            nxt[grown] = (v0, lo, out)
         layer = nxt
 
-    ((_, (v0, rows)),) = layer.items()
-    numers = rows[:, top] * math.factorial(n) ** k
+    ((_, (v0, lo, rows)),) = layer.items()
+    numers = rows[:, top - lo] * math.factorial(n) ** k
     denom = math.factorial(top)
     if sum(numers) != denom:
         raise RuntimeError(

@@ -63,6 +63,10 @@ class PowerStudy:
     null: NullSource = NullSource()
 
     def __post_init__(self) -> None:
+        for name in ("k", "n", "reps", "seed"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise DataValidationError(f"the study's {name} must be an integer, not {value!r}")
         if self.k < 1 or self.n < 1:
             raise DataValidationError("k and n must be positive")
         kinds = tuple(StatisticKind(kd) for kd in self.kinds)
@@ -82,8 +86,6 @@ class PowerStudy:
             raise DataValidationError("alpha must lie strictly between 0 and 1")
         if self.reps < 1:
             raise DataValidationError("reps must be at least 1")
-        if not isinstance(self.seed, int):
-            raise DataValidationError(f"the seed must be an integer, not {self.seed!r}")
         if self.reps > _LAMBDA_STRIDE * CHUNK_SIZE:
             raise DataValidationError("reps beyond the supported stream layout")
         if len(grid) > (MODEL_STREAM_BASE - POWER_STREAM_BASE) // _LAMBDA_STRIDE:
@@ -113,13 +115,13 @@ class PowerStudy:
     def from_json_dict(cls, doc: Mapping) -> "PowerStudy":
         nd = doc["null"]
         return cls(
-            k=int(doc["k"]),
-            n=int(doc["n"]),
+            k=doc["k"],
+            n=doc["n"],
             kinds=tuple(StatisticKind.from_tag(t) for t in doc["kinds"]),
             model_tag=doc["model"],
             lambda_grid=tuple(float(v) for v in doc["lambda_grid"]),
             alpha=Fraction(doc["alpha"]),
-            reps=int(doc["reps"]),
+            reps=doc["reps"],
             seed=doc["seed"],
             population=doc["population"],
             null=NullSource(nd["method"], nd["reps"], nd["seed"], nd["exact_cells_cap"]),

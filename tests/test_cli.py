@@ -116,6 +116,17 @@ def test_cmd_test_exact_cap_refusal(tmp_path, capsys):
     assert "exact" in err and "cap" in err
 
 
+def test_cmd_test_exact_cap_refusal_names_the_mc_flag(tmp_path, capsys):
+    # a 3x3 sample above the default cap of 8
+    path = tmp_path / "three_by_three.csv"
+    path.write_text("0.3,1.1,2.7\n1.5,0.9,2.2\n0.8,2.6,1.4\n")
+    code = main(["test", "--layout", "cycles-as-rows", "--null", "exact",
+                 "--exact-cap", "8", str(path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_DATA
+    assert "--null mc" in err
+
+
 def test_cmd_test_randomized_runs(inverted_csv, capsys):
     code = main(["test", "--stat", "PA", "--layout", "cycles-as-rows",
                  "--randomized", "--seed", "7", str(inverted_csv)])

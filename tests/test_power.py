@@ -93,6 +93,21 @@ def test_unknown_population_is_refused():
         PowerTable.from_json_dict(doc)
 
 
+@pytest.mark.parametrize(
+    "field,bad",
+    [("k", 2.0), ("k", True), ("n", 3.0), ("reps", 2.5), ("reps", 100.7), ("reps", True),
+     ("seed", True), ("seed", 101.0), ("seed", "101")],
+)
+def test_study_refuses_numbers_that_are_no_integers(field, bad):
+    with pytest.raises(DataValidationError, match=f"study's {field} must be an integer"):
+        small_study(**{field: bad})
+    # a reloaded table keeps the number it was given, rather than truncating it
+    doc = estimate_power(small_study(reps=100)).to_json_dict()
+    doc["study"][field] = bad
+    with pytest.raises(DataValidationError, match=f"study's {field} must be an integer"):
+        PowerTable.from_json_dict(doc)
+
+
 @pytest.mark.parametrize("reps", [0, -5])
 def test_null_source_refuses_no_reps(reps):
     with pytest.raises(DataValidationError, match="null reps"):

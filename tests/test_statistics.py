@@ -27,9 +27,17 @@ from rsstest import (
     statistic_range,
     substream,
 )
-from rsstest.batch import _below_counts, cell_shares, evaluate_batch
+from rsstest.batch import (
+    _accumulator,
+    _below_counts,
+    _fold_totals,
+    _table_totals,
+    cell_shares,
+    evaluate_batch,
+    share_table,
+)
 from rsstest.mc import CHUNK_SIZE
-from rsstest.statistics import MAX_KINDS, SUM_KINDS, tuple_discrepancies
+from rsstest.statistics import CYCLE_OF, MAX_KINDS, SUM_KINDS, affine_base, tuple_discrepancies
 from rsstest.streams import NULL_STREAM_BASE
 
 from conftest import make_sample, random_sample
@@ -320,6 +328,10 @@ EVALUATE_BATCH_PINS = {
     (5, 4, 64): "be3918dbc6e0200b",
     (6, 10, 64): "76736f7c978b843d",
     (12, 30, 4): "d3f558386c4ba43e",  # object accumulators
+    # full chunks, where J and PA are gathered from the share tables;
+    # recorded from the per-slot fold, before the tables existed
+    (3, 3, CHUNK_SIZE): "55d1f32178e70eb1",
+    (4, 5, CHUNK_SIZE): "cc36c42c9fa48e74",
 }
 
 
@@ -331,6 +343,43 @@ def test_evaluate_batch_outputs_are_pinned(k, n, b):
         for kind, values in evaluate_batch(cells, kinds).items():
             digest.update(f"{kind.value}:{values.dtype}:{values.tolist()};".encode())
     assert digest.hexdigest()[:16] == EVALUATE_BATCH_PINS[k, n, b]
+
+
+def test_share_table_entries_are_cell_shares_at_their_codes():
+    # count vectors drawn at random and encoded here, each entry against
+    # `cell_shares` of the same vector
+    rng = np.random.default_rng(19)
+    for k, n in ((1, 3), (2, 5), (3, 3), (4, 5), (5, 4), (8, 2)):
+        counts = rng.integers(0, n + 1, size=(k, 50))
+        codes = sum(counts[i] * (n + 1) ** i for i in range(k))
+        for kind in (K.J, K.WSTAR, K.PA):
+            table = share_table(kind, k, n)
+            assert len(table) == k * (n + 1) ** k, (k, n, kind)
+            for s in range(k):
+                want = cell_shares(kind, s, counts, n, _accumulator(k, n))
+                got = table[s * (n + 1) ** k + codes]
+                assert got.tolist() == want.tolist(), (k, n, kind, s)
+
+
+@pytest.mark.parametrize("k,n", [(1, 3), (2, 1), (2, 5), (3, 3), (4, 5), (5, 4), (3, 10), (8, 2)])
+def test_table_totals_equal_fold_totals(k, n):
+    # a full chunk, the short last chunk of 20000 reps, and a batch too
+    # small for the table rule; each subset's bases both ways.  The kernel
+    # gathers only J and PA, whose shares never read the cell's own slot;
+    # Wstar's does, so it checks that own-slot count in the encoded vectors.
+    acc = _accumulator(k, n)
+    assert acc is np.int64
+    cells = draw_cells(ImperfectModel("perfect"), "uniform", k, n, CHUNK_SIZE, substream(k + n, 6))
+    for b in (CHUNK_SIZE, 20000 % CHUNK_SIZE, 3):
+        order = np.argsort(cells[:b].reshape(b, k * n), axis=1)
+        for kinds in KIND_SUBSETS:
+            bases = {affine_base(kind, k, n)[0] for kind in kinds if kind not in CYCLE_OF}
+            table = _table_totals(order, bases, k, n)
+            fold = _fold_totals(order, bases, k, n, acc)
+            assert table.keys() == fold.keys() == bases, (k, n, b, kinds)
+            for base in bases:
+                assert table[base].dtype == fold[base].dtype, (k, n, b, base)
+                assert table[base].tolist() == fold[base].tolist(), (k, n, b, base)
 
 
 @pytest.mark.parametrize("k,n,b", [(6, 2, 16), (7, 2, 16), (8, 2, 16), (6, 3, 8)])

@@ -16,9 +16,12 @@ The kernel builds only the intermediates the requested kinds read:
                  through `affine_base`
   J, PN, PA      overall ranks and the per-slot counts below every cell
 
-Both per-cycle intermediates come from k slab comparisons of one slot's
-values with every slot's, within each cycle.  The overall ranks are one
-argsort per sample.  J and PA are sums over the cells of `cell_shares`,
+Both per-cycle intermediates come from comparing each slot pair i < j
+once, on every grid: slot i's (B, n) values against all higher slots' in
+one comparison per slot i.  Each pair out of order adds to N and moves
+the two slots' ranks, so no pair is compared twice and no (B, k, n)
+slab is compared per slot.  The overall ranks are one argsort per
+sample.  J and PA are sums over the cells of `cell_shares`,
 which depend only on the cell's slot and the per-slot counts of cells
 below it.  A PA share convolves only the shorter tail of the cell's rank
 distribution, and none at all for the first and last slots.  The totals
@@ -38,9 +41,11 @@ The other eight statistics are derived as `statistics` defines them: PN
 and PS through `affine_base` from J and Wstar, and each cycle kind
 through `CYCLE_OF` from the within-cycle N, A and S.
 
-Results are exact integers on every grid.  Rank counts (within-cycle
-ranks, J, Wstar) are at most k * (kn)^2 and stay int64; the per-slot
-counts below a cell are at most n and stay int32.  The scaled
+Results are exact integers on every grid.  Within a cycle, rank minus
+slot lies within +-(k-1) and N is at most k(k-1)/2, held in the smallest
+signed dtype that fits both (int8 up to k = 16) and returned as int64.
+J and Wstar are at most k * (kn)^2 and stay int64; the per-slot counts
+below a cell are at most n and stay int32.  The scaled
 quantities (PN, PS and PA's shorter-tail convolution) grow like n^k * k^3;
 `_accumulator` decides from (k, n) alone whether they fit in int64, and
 where they do not the same code runs with Python-int (object)
@@ -121,31 +126,37 @@ def evaluate_batch(
 def _per_cycle(
     vals: np.ndarray, bases: set[StatisticKind]
 ) -> dict[StatisticKind, np.ndarray]:
-    """Each cycle's PN, PA and PS as a k x 1 grid, (B, n) each, for `bases`.
+    """Each cycle's PN, PA and PS as a k x 1 grid, (B, n) int64 each, for `bases`.
 
-    Slot j's values are compared with every slot's in one (B, k, n) slab:
-    the slab adds to each cell's within-cycle rank, and its first j rows
-    are slot pairs i < j out of order.
+    Every slot pair i < j is compared once: slot i's (B, n) values against
+    each higher slot's, in one comparison per slot i.  Where slot i's value
+    lies above slot j's, the pair is out of order, slot i's rank goes up and
+    slot j's goes down relative to its slot.  Ranks minus slots lie within
+    +-(k-1) and the pairs out of order number at most k(k-1)/2, so both
+    are held in the smallest signed integer dtype that fits them.
     """
     b, k, n = vals.shape
+    small = np.min_scalar_type(-max(k, k * (k - 1) // 2))
+    slots = np.ascontiguousarray(vals.transpose(1, 0, 2))
     deviation = StatisticKind.PA in bases or StatisticKind.PS in bases
-    out = {}
-    if deviation:
-        # rank minus slot, both 1-based; each slab below adds to the rank
-        dev = np.empty((b, k, n), dtype=np.int64)
-        dev[:] = -np.arange(k)[:, None]
-    if StatisticKind.PN in bases:
-        out[StatisticKind.PN] = np.zeros((b, n), dtype=np.int64)
-    for j in range(k):
-        above = vals > vals[:, j : j + 1]
+    # rank minus slot, both 1-based
+    dev = np.zeros((k, b, n), dtype=small) if deviation else None
+    pairs = np.zeros((b, n), dtype=small) if StatisticKind.PN in bases else None
+    for i in range(k - 1):
+        gt = slots[i] > slots[i + 1 :]
+        above = gt.sum(axis=0, dtype=small)
         if deviation:
-            dev += above
-        if StatisticKind.PN in bases:
-            out[StatisticKind.PN] += above[:, :j].sum(axis=1)
+            dev[i] += above
+            dev[i + 1 :] -= gt
+        if pairs is not None:
+            pairs += above
+    out = {}
+    if pairs is not None:
+        out[StatisticKind.PN] = pairs.astype(np.int64)
     if StatisticKind.PA in bases:
-        out[StatisticKind.PA] = np.abs(dev).sum(axis=1)
+        out[StatisticKind.PA] = np.abs(dev).sum(axis=0, dtype=np.int64)
     if StatisticKind.PS in bases:
-        out[StatisticKind.PS] = (dev * dev).sum(axis=1)
+        out[StatisticKind.PS] = np.square(dev, dtype=np.int64).sum(axis=0)
     return out
 
 

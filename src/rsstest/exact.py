@@ -80,7 +80,12 @@ def check_exact_cap(k: int, n: int, max_cells: int = DEFAULT_EXACT_CELL_CAP) -> 
     if k * n > cap:
         raise ExactEngineCapError(
             f"an exact null for a {k}x{n} grid needs kn={k * n} cells, above the cap of {cap}; "
-            + (f"raise the cap to {k * n} or " if k * n <= OPT_IN_EXACT_CELL_CAP else "")
+            + (
+                f"raise the cap to {k * n} (--exact-cap {k * n} on the command line, "
+                "max_cells or exact_cells_cap in the library) or "
+                if k * n <= OPT_IN_EXACT_CELL_CAP
+                else ""
+            )
             + "use a Monte Carlo null (--null mc on the command line, mc_null_distribution "
             "in the library)"
         )

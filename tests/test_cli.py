@@ -125,6 +125,7 @@ def test_cmd_test_exact_cap_refusal_names_the_mc_flag(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == EXIT_DATA
     assert "--null mc" in err
+    assert "--exact-cap 9" in err
 
 
 def test_cmd_test_randomized_runs(inverted_csv, capsys):

@@ -329,41 +329,80 @@ def test_concomitant_negated_correlation_is_negated_sample():
 # pinned draw streams
 # ---------------------------------------------------------------------------
 
-# sha256 prefixes of a 64-replicate 3x4 draw_cells block followed by the
+# sha256 prefixes of a 64-replicate kx4 draw_cells block followed by the
 # next rng.random(4), all from substream(5, 0).  Any change to what a model
 # draws, in what order, or how much of the stream it consumes moves them.
 # The perfect model ignores its parameter; inverse and neighbor coincide
-# at lambda 0.
+# at lambda 0.  Every model is pinned at k = 3; the perfect model also at
+# k = 1, 2, 4, 5, where it selects its order statistics, and at k = 6,
+# where it sorts.
 DRAW_STREAM_PINS = {
-    ("perfect", "uniform", 0.0): "d0228d24ddfd2b1d",
-    ("perfect", "normal", 0.0): "23d2513623fd6535",
-    ("concomitant", "normal", -0.5): "09225716adf901d9",
-    ("concomitant", "normal", 0.0): "8eed55da232d40bb",
-    ("concomitant", "normal", 0.5): "2349ce09bfb0a80f",
-    ("random", "uniform", 0.0): "569d87c141ff4885",
-    ("random", "uniform", 0.5): "ab9fbcd3ebc51ce6",
-    ("random", "uniform", 1.0): "3260088b099484bc",
-    ("random", "normal", 0.0): "e284be00bd684bfb",
-    ("random", "normal", 0.5): "c64ddc38512aceb0",
-    ("random", "normal", 1.0): "1f4a5b7ba73c6b21",
-    ("inverse", "uniform", 0.0): "d8e83da7a20c795e",
-    ("inverse", "uniform", 0.5): "c139b915a149446e",
-    ("inverse", "uniform", 1.0): "eb0ff5c69ce864fb",
-    ("inverse", "normal", 0.0): "6961fbb33c76c33f",
-    ("inverse", "normal", 0.5): "7afb8d118eecd92e",
-    ("inverse", "normal", 1.0): "016aafaf5322dd97",
-    ("neighbor", "uniform", 0.0): "d8e83da7a20c795e",
-    ("neighbor", "uniform", 0.5): "8f8ed57e1b661228",
-    ("neighbor", "uniform", 1.0): "64cb397b23fedc49",
-    ("neighbor", "normal", 0.0): "6961fbb33c76c33f",
-    ("neighbor", "normal", 0.5): "922fe31a86d4ab61",
-    ("neighbor", "normal", 1.0): "75d24c498294dc22",
+    ("perfect", "uniform", 0.0, 3): "d0228d24ddfd2b1d",
+    ("perfect", "normal", 0.0, 3): "23d2513623fd6535",
+    ("concomitant", "normal", -0.5, 3): "09225716adf901d9",
+    ("concomitant", "normal", 0.0, 3): "8eed55da232d40bb",
+    ("concomitant", "normal", 0.5, 3): "2349ce09bfb0a80f",
+    ("random", "uniform", 0.0, 3): "569d87c141ff4885",
+    ("random", "uniform", 0.5, 3): "ab9fbcd3ebc51ce6",
+    ("random", "uniform", 1.0, 3): "3260088b099484bc",
+    ("random", "normal", 0.0, 3): "e284be00bd684bfb",
+    ("random", "normal", 0.5, 3): "c64ddc38512aceb0",
+    ("random", "normal", 1.0, 3): "1f4a5b7ba73c6b21",
+    ("inverse", "uniform", 0.0, 3): "d8e83da7a20c795e",
+    ("inverse", "uniform", 0.5, 3): "c139b915a149446e",
+    ("inverse", "uniform", 1.0, 3): "eb0ff5c69ce864fb",
+    ("inverse", "normal", 0.0, 3): "6961fbb33c76c33f",
+    ("inverse", "normal", 0.5, 3): "7afb8d118eecd92e",
+    ("inverse", "normal", 1.0, 3): "016aafaf5322dd97",
+    ("neighbor", "uniform", 0.0, 3): "d8e83da7a20c795e",
+    ("neighbor", "uniform", 0.5, 3): "8f8ed57e1b661228",
+    ("neighbor", "uniform", 1.0, 3): "64cb397b23fedc49",
+    ("neighbor", "normal", 0.0, 3): "6961fbb33c76c33f",
+    ("neighbor", "normal", 0.5, 3): "922fe31a86d4ab61",
+    ("neighbor", "normal", 1.0, 3): "75d24c498294dc22",
+    ("perfect", "uniform", 0.0, 1): "8c8a956bda2143f2",
+    ("perfect", "normal", 0.0, 1): "c2d7522770485f53",
+    ("perfect", "uniform", 0.0, 2): "08b963c96231acb5",
+    ("perfect", "normal", 0.0, 2): "a48604fcb035963c",
+    ("perfect", "uniform", 0.0, 4): "b39df771ecbd0329",
+    ("perfect", "normal", 0.0, 4): "c056ed0d58c368e0",
+    ("perfect", "uniform", 0.0, 5): "f151299a39d51248",
+    ("perfect", "normal", 0.0, 5): "2faaec222b302f6f",
+    ("perfect", "uniform", 0.0, 6): "fb6b5ff6de67a51c",
+    ("perfect", "normal", 0.0, 6): "462478f2fc2379eb",
 }
 
 
-@pytest.mark.parametrize("tag,population,lam", list(DRAW_STREAM_PINS))
-def test_draw_streams_are_pinned(tag, population, lam):
+@pytest.mark.parametrize(
+    "tag,population,lam,k",
+    list(DRAW_STREAM_PINS),
+    # the k = 3 rows keep the ids they had before k joined the key
+    ids=[f"{t}-{p}-{lam}" + (f"-k{k}" if k != 3 else "") for t, p, lam, k in DRAW_STREAM_PINS],
+)
+def test_draw_streams_are_pinned(tag, population, lam, k):
     rng = substream(5, 0)
-    cells = draw_cells(ImperfectModel(tag, lam), population, 3, 4, 64, rng)
+    cells = draw_cells(ImperfectModel(tag, lam), population, k, 4, 64, rng)
     digest = hashlib.sha256(cells.tobytes() + rng.random(4).tobytes()).hexdigest()
-    assert digest[:16] == DRAW_STREAM_PINS[tag, population, lam]
+    assert digest[:16] == DRAW_STREAM_PINS[tag, population, lam, k]
+
+
+def sorted_diagonal_draw(population, k, n, size, rng):
+    """The perfect draw by definition: sort every comparison set, keep the
+    i-th smallest of each slot-i set."""
+    draw = rng.standard_normal if population == "normal" else rng.random
+    sets = np.sort(draw((size, k, n, k)), axis=-1)
+    return np.diagonal(sets, axis1=1, axis2=3).transpose(0, 2, 1)
+
+
+@pytest.mark.parametrize("population", ["uniform", "normal"])
+@pytest.mark.parametrize("k", range(1, 7))
+def test_perfect_draw_is_the_sorted_diagonal(k, population):
+    # bit for bit, on both sides of the selection rule (k <= 5 selects,
+    # k = 6 sorts), one replicate, the short last chunk of 20000 and a
+    # full chunk; the stream must end in the same place too
+    for size in (1, 3616, 8192):
+        rng, oracle_rng = substream(k + size, 2), substream(k + size, 2)
+        cells = draw_cells(ImperfectModel("perfect"), population, k, 3, size, rng)
+        want = sorted_diagonal_draw(population, k, 3, size, oracle_rng)
+        assert cells.tobytes() == want.tobytes(), (k, population, size)
+        assert rng.random() == oracle_rng.random(), (k, population, size)

@@ -327,6 +327,7 @@ EVALUATE_BATCH_PINS = {
     (4, 5, 64): "ca2ce6409fd8d99f",
     (5, 4, 64): "be3918dbc6e0200b",
     (6, 10, 64): "76736f7c978b843d",
+    (10, 10, 64): "23272927e363102c",  # 45 slot pairs per cycle
     (12, 30, 4): "d3f558386c4ba43e",  # object accumulators
     # full chunks, where J and PA are gathered from the share tables;
     # recorded from the per-slot fold, before the tables existed
@@ -387,6 +388,21 @@ def test_batch_pa_matches_enumeration_past_k5(k, n, b):
     cells = draw_cells(ImperfectModel("perfect"), "uniform", k, n, b, substream(10 * k + n, 1))
     got = evaluate_batch(cells, [K.PA])[K.PA]
     assert got.tolist() == [brute_force_perm_all(make_sample(c))[1] for c in cells]
+
+
+@pytest.mark.parametrize("k", [16, 17, 130])
+def test_batch_cycle_kinds_past_the_int8_ranks(k):
+    # the per-cycle ranks and pair counts are held in int8 up to k = 16
+    # and in int16 from there; each cycle kind against the per-cycle
+    # oracle, with one cycle fully reversed for the extreme N, A and S
+    vals = np.random.default_rng(k).random((8, k, 2))
+    vals[0, :, 1] = -np.arange(k)
+    got = evaluate_batch(vals, CYCLE_KINDS)
+    for kind in CYCLE_KINDS:
+        assert got[kind].dtype == np.int64, (k, kind)
+        want = [cycle_oracle(make_sample(cells), kind) for cells in vals]
+        assert got[kind].tolist() == want, (k, kind)
+    assert got[K.N_MAX][0] == k * (k - 1) // 2
 
 
 def test_ps_offset_requires_k2():

@@ -34,8 +34,11 @@ take one of two paths, chosen from the input's shape alone:
          running sum of (n+1)^slot, plus slot * (n+1)^k, indexes each
          cell's share: one gather.
   fold   otherwise (6x10, 10x10, object accumulators, small batches).
-         `_below_counts` builds the slot-major counts, `counts[i]` the
-         slot-i cells below each cell, and `cell_shares` folds them in.
+         One block of rows of the order at a time (BLOCK_BYTES of
+         counts, so 4194 replicates on 10x10), `_below_counts` builds
+         the slot-major counts, `counts[i]` the slot-i cells below each
+         cell, and `cell_shares` folds them in.  The path is chosen
+         on the whole batch, never per block.
 
 The other eight statistics are derived as `statistics` defines them: PN
 and PS through `affine_base` from J and Wstar, and each cycle kind
@@ -45,8 +48,9 @@ Results are exact integers on every grid.  Within a cycle, rank minus
 slot lies within +-(k-1) and N is at most k(k-1)/2, held in the smallest
 signed dtype that fits both (int8 up to k = 16) and returned as int64.
 J and Wstar are at most k * (kn)^2 and stay int64; the per-slot counts
-below a cell are at most n and stay int32.  The scaled
-quantities (PN, PS and PA's shorter-tail convolution) grow like n^k * k^3;
+below a cell are at most n and are held in the smallest unsigned dtype
+that fits n, one byte a count up to n = 255.  The scaled quantities
+(PN, PS and PA's shorter-tail convolution) grow like n^k * k^3;
 `_accumulator` decides from (k, n) alone whether they fit in int64, and
 where they do not the same code runs with Python-int (object)
 accumulators instead of wrapping.
@@ -62,6 +66,19 @@ import numpy as np
 from .statistics import CYCLE_OF, SUM_KINDS, StatisticKind, affine_base, ps_offset
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
+
+# the byte budget of one block of replicates: the perfect draw's comparison
+# sets and the fold's below-counts are built one block of rows at a time,
+# so their size does not grow with the chunk
+BLOCK_BYTES = 4 << 20
+
+
+def replicate_blocks(size: int, row_bytes: int) -> list[slice]:
+    """Consecutive row slices covering 0..size, each of at most BLOCK_BYTES
+    at `row_bytes` a row (and at least one row); an empty batch is one
+    empty block."""
+    rows = max(1, BLOCK_BYTES // row_bytes)
+    return [slice(lo, min(lo + rows, size)) for lo in range(0, max(size, 1), rows)]
 
 
 def _accumulator(k: int, n: int) -> type:
@@ -179,15 +196,23 @@ def _table_totals(
 def _fold_totals(
     order: np.ndarray, bases: Iterable[StatisticKind], k: int, n: int, acc: type
 ) -> dict[StatisticKind, np.ndarray]:
-    """Each base's sum of cell shares, by `cell_shares` over the below-counts."""
-    counts = _below_counts(order, k, n)
-    return {
-        base: sum(
-            cell_shares(base, s, counts[:, :, s * n : (s + 1) * n], n, acc).sum(axis=1)
-            for s in range(k)
-        )
-        for base in bases
-    }
+    """Each base's sum of cell shares, by `cell_shares` over the below-counts.
+
+    One block of `order`'s rows at a time, so the (k, rows, kn) counts
+    stay near BLOCK_BYTES whatever the batch size.
+    """
+    b, kn = order.shape
+    parts: dict[StatisticKind, list[np.ndarray]] = {base: [] for base in bases}
+    for rows in replicate_blocks(b, k * kn * np.min_scalar_type(n).itemsize):
+        counts = _below_counts(order[rows], k, n)
+        for base, part in parts.items():
+            part.append(
+                sum(
+                    cell_shares(base, s, counts[:, :, s * n : (s + 1) * n], n, acc).sum(axis=1)
+                    for s in range(k)
+                )
+            )
+    return {base: np.concatenate(part) for base, part in parts.items()}
 
 
 def _below_counts(order: np.ndarray, k: int, n: int) -> np.ndarray:
@@ -196,21 +221,23 @@ def _below_counts(order: np.ndarray, k: int, n: int) -> np.ndarray:
     Slot-major, from each sample's cell order: per slot, a running count
     of its cells met along the order is gathered back to the cells, and
     the slot's own cells, each counted at itself, take one off.  Every
-    count is at most n, so int32 holds it.
+    count is at most n, so the smallest unsigned dtype that fits n holds
+    it (uint8 up to n = 255).
     """
     b, kn = order.shape
+    small = np.min_scalar_type(n)
     slot = order // n
     # position[b, c] as a flat index into a (B, kn) array: where cell c
     # of sample b sits in its order
     position = np.empty_like(order)
     position[np.arange(b)[:, None], order] = np.arange(kn)
     position += np.arange(0, b * kn, kn)[:, None]
-    counts = np.empty((k, b, kn), dtype=np.int32)
+    counts = np.empty((k, b, kn), dtype=small)
     met = np.empty((b, kn), dtype=bool)
-    seen = np.empty((b, kn), dtype=np.int32)
+    seen = np.empty((b, kn), dtype=small)
     for i in range(k):
         np.equal(slot, i, out=met)
-        np.cumsum(met, axis=1, dtype=np.int32, out=seen)
+        np.cumsum(met, axis=1, dtype=small, out=seen)
         # every position is in range; the default mode="raise" would buffer out
         np.take(seen, position, out=counts[i], mode="wrap")
         counts[i, :, i * n : (i + 1) * n] -= 1

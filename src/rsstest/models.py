@@ -18,13 +18,17 @@ up being measured for rank slot i:
                    replaces the i-th.
 
 `_draw_once` makes the slot choice in one place.  The perfect model
-needs only slot i of set (i, l).  For k <= 5 it selects that order
-statistic with slot i's pruned min/max network (`_selection_plan`), one
-elementwise min or max over the (size, n) member views per comparator,
-and sorts nothing: the sort would order all k members and keep one.
-From k = 6 on a slot's network costs as much as the sort or more, so it
-sorts the comparison sets in place and reads the diagonal.  Both paths
-return the same doubles.  The other models always sort: they pick, per
+needs only slot i of set (i, l), and `_draw_perfect` draws its sets one
+block of replicates at a time into one reused buffer of about
+`batch.BLOCK_BYTES`, so a chunk holds its (size, k, n) cells plus one
+block however large k^2 n grows.  For k <= 12 it selects each order
+statistic with slot i's pruned min/max network (`_selection_plan`): the
+block's slot-i sets are copied member-major into contiguous wires and
+each comparator is one elementwise min or max, so nothing is sorted.
+From k = 13 on a slot's network costs more than sorting the block, so
+the block is sorted in place and its diagonal read.  Both paths return
+the same doubles as one sort of the whole draw.  The other models draw
+their whole (size, k, n, k) sets at once and always sort: they pick, per
 cell, the index of the set member to measure (slot i, its mirror k-1-i,
 or a neighbour clamped to 0..k-1) and read every cell with one gather,
 `_pick`; the random model then swaps in its fresh draws.  Draw order per
@@ -48,6 +52,7 @@ from typing import Literal
 
 import numpy as np
 
+from .batch import replicate_blocks
 from .errors import DataValidationError
 from .sample import RssSample
 from .streams import MODEL_STREAM_BASE, fresh_seed, substream
@@ -60,10 +65,13 @@ MODEL_TAGS = ("perfect", "concomitant", "random", "inverse", "neighbor")
 tie_regeneration_count = 0
 
 # the perfect draw selects each slot's order statistic with a pruned
-# min/max network up to this k and sorts its comparison sets above it: a
-# slot's network grows faster than k log k, and per 8192-replicate chunk
-# the sort measured as fast at 6x10 and faster at 10x10
-_SELECT_MAX_K = 5
+# min/max network up to this k and sorts each block above it.  A slot's
+# network grows faster than k log k, and each block's wires shrink like
+# 1/k^2, so per-call overhead takes over: per 8192-replicate chunk (one
+# thread, selection or sort alone) the networks won at 10x10 (35-41 vs
+# 54-61 ms) and 12x10 (55-66 vs 66-73 ms), and lost at 13x5 (44 vs 34-36 ms)
+# and 13x2 (24 vs 14-16 ms)
+_SELECT_MAX_K = 12
 
 
 @dataclass(frozen=True)
@@ -197,14 +205,10 @@ def _draw_once(
         return _pick(primary, _pick(np.argsort(companion, axis=-1), idx))
 
     draw = rng.standard_normal if population == "normal" else rng.random
-    sets = draw((size, k, n, k))
-    if model.tag == "perfect" and k <= _SELECT_MAX_K:
-        return _select_slots(sets)
-    sets.sort(axis=-1)
     if model.tag == "perfect":
-        # cell (i, l) is the i-th smallest of set (i, l): the diagonal over
-        # the slot and set-member axes
-        return np.diagonal(sets, axis1=1, axis2=3).transpose(0, 2, 1).copy()
+        return _draw_perfect(draw, k, n, size)
+    sets = draw((size, k, n, k))
+    sets.sort(axis=-1)
 
     mix = rng.random((size, k, n))
     lam = model.lam
@@ -221,23 +225,45 @@ def _draw_once(
     return cells
 
 
-def _select_slots(sets: np.ndarray) -> np.ndarray:
-    """Cell (i, l) as the i-th smallest of set (i, l), by slot i's pruned network.
+def _draw_perfect(draw, k: int, n: int, size: int) -> np.ndarray:
+    """Cell (i, l) as the i-th smallest of set (i, l), one block of replicates at a time.
 
-    Each comparator is an elementwise min or max of two (size, n) member
-    views, so the cells are the very doubles a sort would put there.
+    Each block's comparison sets are drawn into one reused (rows, k, n, k)
+    buffer; consecutive fills consume the stream exactly as one
+    (size, k, n, k) draw would.  Up to _SELECT_MAX_K, slot i's sets are
+    copied member-major into contiguous (rows, n) wires and slot i's
+    pruned network runs on them: each comparator is an elementwise min or
+    max of two wires, so the cells are the very doubles a sort would put
+    there.  Above it the block is sorted and its diagonal read.
     """
-    size, k, n, _ = sets.shape
+    blocks = replicate_blocks(size, 8 * k * n * k)
+    rows = blocks[0].stop
+    buf = np.empty((rows, k, n, k))
     cells = np.empty((size, k, n))
-    for i in range(k):
-        wire = [sets[:, i, :, m] for m in range(k)]
-        for a, b, low, high in _selection_plan(k, i):
-            smaller = np.minimum(wire[a], wire[b]) if low else None
-            if high:
-                wire[b] = np.maximum(wire[a], wire[b])
-            if low:
-                wire[a] = smaller
-        cells[:, i] = wire[i]
+    select = k <= _SELECT_MAX_K
+    # k wires and one spare for a comparator that keeps both outputs
+    scratch = np.empty((k + 1, rows, n)) if select else None
+    for block in blocks:
+        sets = draw(out=buf[: block.stop - block.start])
+        if not select:
+            sets.sort(axis=-1)
+            # the diagonal over the slot and set-member axes
+            cells[block] = np.diagonal(sets, axis1=1, axis2=3).transpose(0, 2, 1)
+            continue
+        for i in range(k):
+            # wire m holds member m of slot i's sets, (rows, n) contiguous
+            np.copyto(scratch[:k, : len(sets)], sets[:, i].transpose(2, 0, 1))
+            *wire, spare = scratch[:, : len(sets)]
+            for a, b, low, high in _selection_plan(k, i):
+                if low and high:
+                    np.minimum(wire[a], wire[b], out=spare)
+                    np.maximum(wire[a], wire[b], out=wire[b])
+                    wire[a], spare = spare, wire[a]
+                elif low:
+                    np.minimum(wire[a], wire[b], out=wire[a])
+                else:
+                    np.maximum(wire[a], wire[b], out=wire[b])
+            cells[block, i] = wire[i]
     return cells
 
 
@@ -274,9 +300,8 @@ def _pick(sets: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 def _tied_rows(cells: np.ndarray) -> np.ndarray:
     flat = np.sort(cells.reshape(len(cells), -1), axis=1)
-    if flat.shape[1] < 2:
-        return np.zeros(len(cells), dtype=bool)
-    return (np.diff(flat, axis=1) == 0).any(axis=1)
+    # sorted neighbours compared in place: no float difference array
+    return (flat[:, 1:] == flat[:, :-1]).any(axis=1)
 
 
 def generate(cfg: GeneratorConfig, rng: np.random.Generator | None = None) -> RssSample:

@@ -20,7 +20,9 @@ from rsstest import (
     slot_density,
     substream,
 )
+from rsstest import batch, models
 from rsstest.batch import evaluate_batch
+from rsstest.models import _tied_rows
 
 K = StatisticKind
 
@@ -334,8 +336,8 @@ def test_concomitant_negated_correlation_is_negated_sample():
 # draws, in what order, or how much of the stream it consumes moves them.
 # The perfect model ignores its parameter; inverse and neighbor coincide
 # at lambda 0.  Every model is pinned at k = 3; the perfect model also at
-# k = 1, 2, 4, 5, where it selects its order statistics, and at k = 6,
-# where it sorts.
+# k = 1, 2, 4, 5, 6, 7, 10 and 12, where it selects its order statistics,
+# and at k = 13, where it sorts.
 DRAW_STREAM_PINS = {
     ("perfect", "uniform", 0.0, 3): "d0228d24ddfd2b1d",
     ("perfect", "normal", 0.0, 3): "23d2513623fd6535",
@@ -370,6 +372,14 @@ DRAW_STREAM_PINS = {
     ("perfect", "normal", 0.0, 5): "2faaec222b302f6f",
     ("perfect", "uniform", 0.0, 6): "fb6b5ff6de67a51c",
     ("perfect", "normal", 0.0, 6): "462478f2fc2379eb",
+    ("perfect", "uniform", 0.0, 7): "4f9f5f02344fbc35",
+    ("perfect", "normal", 0.0, 7): "37c308407321cd00",
+    ("perfect", "uniform", 0.0, 10): "c447f36ee2107ce6",
+    ("perfect", "normal", 0.0, 10): "cf4d713f9391ab60",
+    ("perfect", "uniform", 0.0, 12): "3960b207f8ccf7d5",
+    ("perfect", "normal", 0.0, 12): "a974d995e2398df4",
+    ("perfect", "uniform", 0.0, 13): "3cc621e0d99dcb3d",
+    ("perfect", "normal", 0.0, 13): "4c3973d519854568",
 }
 
 
@@ -390,19 +400,38 @@ def sorted_diagonal_draw(population, k, n, size, rng):
     """The perfect draw by definition: sort every comparison set, keep the
     i-th smallest of each slot-i set."""
     draw = rng.standard_normal if population == "normal" else rng.random
-    sets = np.sort(draw((size, k, n, k)), axis=-1)
+    sets = draw((size, k, n, k))
+    sets.sort(axis=-1)
     return np.diagonal(sets, axis1=1, axis2=3).transpose(0, 2, 1)
 
 
 @pytest.mark.parametrize("population", ["uniform", "normal"])
-@pytest.mark.parametrize("k", range(1, 7))
-def test_perfect_draw_is_the_sorted_diagonal(k, population):
-    # bit for bit, on both sides of the selection rule (k <= 5 selects,
-    # k = 6 sorts), one replicate, the short last chunk of 20000 and a
-    # full chunk; the stream must end in the same place too
+@pytest.mark.parametrize("k", range(1, models._SELECT_MAX_K + 2))
+def test_perfect_draw_is_the_sorted_diagonal(k, population, monkeypatch):
+    # bit for bit, on both sides of the selection rule (every k that
+    # selects and the first that sorts), one replicate, the short last
+    # chunk of 20000 and a full chunk; the stream must end in the same
+    # place too, with no tie regeneration (which would redraw a block left
+    # unfilled from where it should have been drawn).  The full chunk spans
+    # several blocks and ends in a short one; where it would fit in one
+    # block (k <= 2), blocks are cut to 3000 replicates.
+    n = 10
+    row_bytes = 8 * k * n * k
+    monkeypatch.setattr(batch, "BLOCK_BYTES", min(batch.BLOCK_BYTES, 3000 * row_bytes))
+    blocks = batch.replicate_blocks(8192, row_bytes)
+    assert len(blocks) > 1 and blocks[-1].stop - blocks[-1].start < blocks[0].stop, k
     for size in (1, 3616, 8192):
         rng, oracle_rng = substream(k + size, 2), substream(k + size, 2)
-        cells = draw_cells(ImperfectModel("perfect"), population, k, 3, size, rng)
-        want = sorted_diagonal_draw(population, k, 3, size, oracle_rng)
+        ties = models.tie_regeneration_count
+        cells = draw_cells(ImperfectModel("perfect"), population, k, n, size, rng)
+        assert models.tie_regeneration_count == ties, (k, population, size)
+        want = sorted_diagonal_draw(population, k, n, size, oracle_rng)
         assert cells.tobytes() == want.tobytes(), (k, population, size)
         assert rng.random() == oracle_rng.random(), (k, population, size)
+
+
+def test_tied_rows_finds_equal_cells_in_any_position():
+    cells = np.arange(2.0 * 12).reshape(2, 3, 4)
+    cells[1, 2, 3] = cells[1, 0, 0]
+    assert _tied_rows(cells).tolist() == [False, True]
+    assert _tied_rows(cells[:, :1, :1]).tolist() == [False, False]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from rsstest.batch import (
     _table_totals,
     cell_shares,
     evaluate_batch,
+    replicate_blocks,
     share_table,
 )
 from rsstest.mc import CHUNK_SIZE
@@ -333,7 +335,55 @@ EVALUATE_BATCH_PINS = {
     # recorded from the per-slot fold, before the tables existed
     (3, 3, CHUNK_SIZE): "55d1f32178e70eb1",
     (4, 5, CHUNK_SIZE): "cc36c42c9fa48e74",
+    # two fold blocks, the second short; recorded from the unblocked fold
+    (10, 10, 5000): "0c92aa22e57cf07a",
 }
+
+
+def test_the_wide_pin_spans_two_fold_blocks():
+    # a 10x10 block of below-counts is 10 x 100 one-byte counts a replicate
+    blocks = replicate_blocks(5000, 10 * 100)
+    assert len(blocks) == 2 and blocks[1].stop - blocks[1].start < blocks[0].stop
+
+
+@pytest.mark.parametrize("n", [255, 256])
+def test_below_counts_and_fold_at_the_count_dtype_edge(n):
+    # counts of 0..n cells are uint8 up to n = 255 and uint16 from 256.
+    # Sample 0 puts every slot-0 cell below every slot-1 cell, so the top
+    # cell counts all n below it and the running count reaches n.
+    k = 2
+    cells = draw_cells(ImperfectModel("perfect"), "uniform", k, n, 6, substream(n, 8))
+    cells[0] = np.arange(k * n).reshape(k, n)
+    order = np.argsort(cells.reshape(len(cells), k * n), axis=1)
+    counts = _below_counts(order, k, n)
+    assert counts.dtype == (np.uint8 if n < 256 else np.uint16)
+    assert counts.tolist() == direct_counts(cells).tolist()
+    assert counts[0, 0, -1] == n
+    bases = {K.J, K.WSTAR, K.PA}
+    table = _table_totals(order, bases, k, n)
+    fold = _fold_totals(order, bases, k, n, _accumulator(k, n))
+    for base in bases:
+        assert table[base].tolist() == fold[base].tolist(), (n, base)
+
+
+def test_one_wide_chunk_holds_a_bounded_working_set():
+    # one perfect 10x10 chunk: the draw's peak (its cells included) and
+    # the kernel's peak over all kinds (above the cells it is given) stay
+    # below 32 MB.  A draw of the whole chunk's comparison sets, or int32
+    # below-counts for the whole chunk, peaks at about 73 and 62 MB.
+    tracemalloc.start()
+    try:
+        perfect = ImperfectModel("perfect")
+        cells = draw_cells(perfect, "uniform", 10, 10, CHUNK_SIZE, substream(1, 0))
+        draw_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        evaluate_batch(cells, ALL_KINDS)
+        kernel_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert draw_peak < 32e6, draw_peak
+    assert kernel_peak < 32e6, kernel_peak
 
 
 @pytest.mark.parametrize("k,n,b", list(EVALUATE_BATCH_PINS))

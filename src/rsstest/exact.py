@@ -25,9 +25,13 @@ coefficient over (k^2 n)!.
 The other eight statistics follow from these three pmfs by the rules
 `statistics` holds, read by `_pmf`: PN and PS are pushed forward from J
 and Wstar through `affine_base`, and each cycle kind's per-cycle pmf is
-the k x 1 pmf of its `CYCLE_OF` kind.  As the n cycles are i.i.d., each
-*_sum pmf is the n-fold convolution of the per-cycle pmf and each *_max
-pmf is F(v)^n - F(v-)^n.  `_pmf` caches every pmf it builds, per
+the k x 1 pmf of its `CYCLE_OF` kind.  Every pmf is carried in integers,
+numerators by value over one denominator, and becomes `Fraction`s only
+in `exact_pmf`.  As the n cycles are i.i.d., with the per-cycle
+numerators taken as a dense integer polynomial in the value, each *_sum
+pmf is that polynomial's n-th power (n `np.convolve`s) and each *_max
+pmf is F(v)^n - F(v-1)^n of its integer cumulative sums F, both over the
+n-th power of the denominator.  `_pmf` caches every pmf it builds, per
 (k, n, statistic).
 
 `exact_pmf` builds one statistic's chain only, `exact_distributions` all
@@ -40,8 +44,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from fractions import Fraction
-from functools import lru_cache
-from typing import Mapping
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -54,7 +57,8 @@ DEFAULT_EXACT_CELL_CAP = 8
 OPT_IN_EXACT_CELL_CAP = 10
 
 K = StatisticKind
-Pmf = Mapping[int, Fraction]
+# integer numerators by value, ascending, over one common denominator
+Pmf = tuple[dict[int, int], int]
 
 
 def exact_distributions(
@@ -69,7 +73,8 @@ def exact_pmf(
 ) -> dict[int, Fraction]:
     """Exact pmf of one statistic, values ascending; builds only its own chain."""
     check_exact_cap(k, n, max_cells)
-    return dict(_pmf(k, n, kind))
+    numers, denom = _pmf(k, n, kind)
+    return {v: Fraction(p, denom) for v, p in numers.items()}
 
 
 def check_exact_cap(k: int, n: int, max_cells: int = DEFAULT_EXACT_CELL_CAP) -> None:
@@ -95,35 +100,23 @@ def check_exact_cap(k: int, n: int, max_cells: int = DEFAULT_EXACT_CELL_CAP) -> 
 def _pmf(k: int, n: int, kind: StatisticKind) -> Pmf:
     """The exact pmf of one statistic, derived as `statistics` defines it."""
     if kind in CYCLE_OF:
-        cycle = _pmf(k, 1, CYCLE_OF[kind])
-        return _sum_of_iid(cycle, n) if kind in SUM_KINDS else _max_of_iid(cycle, n)
+        numers, denom = _pmf(k, 1, CYCLE_OF[kind])
+        # the per-cycle numerators as a dense polynomial in the value
+        lo = min(numers)
+        cycle = np.zeros(max(numers) - lo + 1, dtype=object)
+        cycle[[v - lo for v in numers]] = list(numers.values())
+        if kind in SUM_KINDS:
+            out, lo = reduce(np.convolve, [cycle] * n), lo * n
+        else:
+            out = np.diff(np.cumsum(cycle) ** n, prepend=0)
+        return {lo + r: p for r, p in enumerate(out) if p}, denom**n
     base, scale, offset = affine_base(kind, k, n)
     if base is kind:
         return _count_dp(k, n, kind)
     # one-to-one unless scale is 0, which happens only for k = 1, where
     # the base J or Wstar has a single atom
-    return dict(sorted((offset + scale * v, p) for v, p in _pmf(k, n, base).items()))
-
-
-def _sum_of_iid(pmf: Pmf, n: int) -> Pmf:
-    out: Pmf = {0: Fraction(1)}
-    for _ in range(n):
-        acc: dict[int, Fraction] = defaultdict(Fraction)
-        for v, p in out.items():
-            for w, q in pmf.items():
-                acc[v + w] += p * q
-        out = acc
-    return dict(sorted(out.items()))
-
-
-def _max_of_iid(pmf: Pmf, n: int) -> Pmf:
-    out = {}
-    below = cdf = Fraction(0)
-    for v, p in pmf.items():
-        cdf += p
-        out[v] = cdf**n - below**n
-        below = cdf
-    return out
+    numers, denom = _pmf(k, n, base)
+    return dict(sorted((offset + scale * v, p) for v, p in numers.items())), denom
 
 
 def _to_bernstein(coeffs: list[int]) -> list[int]:
@@ -139,7 +132,8 @@ def _to_bernstein(coeffs: list[int]) -> list[int]:
 
 
 def _count_dp(k: int, n: int, kind: StatisticKind) -> Pmf:
-    """Exact pmf of J, Wstar or PA on a k x n grid, by the DP over slot counts.
+    """Exact pmf of J, Wstar or PA on a k x n grid, by the DP over slot counts,
+    as integer numerators over (k^2 n)!.
 
     A layer maps each count vector c of the cells placed so far, encoded
     as `batch.share_table` indexes it, to (v0, lo, rows): row r holds the
@@ -232,4 +226,4 @@ def _count_dp(k: int, n: int, kind: StatisticKind) -> Pmf:
         raise RuntimeError(
             f"exact engine mass check failed for k={k}, n={n}: {sum(numers)} != {denom}"
         )
-    return {v0 + r: Fraction(numer, denom) for r, numer in enumerate(numers) if numer}
+    return {v0 + r: numer for r, numer in enumerate(numers) if numer}, denom

@@ -17,26 +17,26 @@ up being measured for rank slot i:
                    smallest of the same set (clamped at the ends)
                    replaces the i-th.
 
-`_draw_once` makes the slot choice in one place.  The perfect model
-needs only slot i of set (i, l), and `_draw_perfect` draws its sets one
-block of replicates at a time into one reused buffer of about
-`batch.BLOCK_BYTES`, so a chunk holds its (size, k, n) cells plus one
-block however large k^2 n grows.  For k <= 12 it selects each order
-statistic with slot i's pruned min/max network (`_selection_plan`): the
-block's slot-i sets are copied member-major into contiguous wires and
-each comparator is one elementwise min or max, so nothing is sorted.
-From k = 13 on a slot's network costs more than sorting the block, so
-the block is sorted in place and its diagonal read.  Both paths return
-the same doubles as one sort of the whole draw.  The other models draw
-their whole (size, k, n, k) sets at once and always sort: they pick, per
-cell, the index of the set member to measure (slot i, its mirror k-1-i,
-or a neighbour clamped to 0..k-1) and read every cell with one gather,
-`_pick`; the random model then swaps in its fresh draws.  Draw order per
-batch is fixed and documented on `draw_cells`, so any seeded stream
-reproduces the same cells regardless of callers.  The
-all-cells-distinct requirement is enforced by regenerating offending
-replicates (a probability-zero event under continuous populations);
-regenerations are counted in `tie_regeneration_count`.
+`_draw_once` makes the slot choice in one place.  A slot-i cell of a
+fraction model reads one of a few order statistics of its set: slot i
+(perfect, random), its mirror k-1-i (inverse) or a neighbour clamped to
+0..k-1 (neighbor).  `_order_statistics` draws the sets one block of
+replicates at a time into one reused buffer of about `batch.BLOCK_BYTES`
+and returns one (size, k, n) array per candidate, so a chunk holds those
+plus one block however large k^2 n grows.  For k <= 12 slot i's sets are
+copied member-major into contiguous wires and a min/max network pruned
+to its candidates (`_selection_plan`) selects them, sorting nothing;
+from k = 13 on a network costs more than sorting the block, so the block
+is sorted in place.  Both give the same doubles as one sort of the whole
+draw.  The mixing uniforms, drawn after all the sets, then choose each
+cell among its candidates or, under the random model, a fresh draw.  The
+concomitant model ranks by a companion: it draws all its (size, k, n, k)
+pairs at once and reads each cell with one gather, `_pick`.  Draw order
+per batch is fixed and documented on `draw_cells`, so any seeded stream
+reproduces the same cells regardless of callers.  The all-cells-distinct
+requirement is enforced by regenerating offending replicates (a
+probability-zero event under continuous populations); regenerations are
+counted in `tie_regeneration_count`.
 
 `slot_density` states once the law these draws follow, as an exact
 polynomial per slot; the exact engine and `marginal_cdf` integrate it.
@@ -64,10 +64,10 @@ MODEL_TAGS = ("perfect", "concomitant", "random", "inverse", "neighbor")
 
 tie_regeneration_count = 0
 
-# the perfect draw selects each slot's order statistic with a pruned
-# min/max network up to this k and sorts each block above it.  A slot's
-# network grows faster than k log k, and each block's wires shrink like
-# 1/k^2, so per-call overhead takes over: per 8192-replicate chunk (one
+# the draw selects each slot's order statistics with a pruned min/max
+# network up to this k and sorts each block above it.  A slot's network
+# grows faster than k log k, and each block's wires shrink like 1/k^2, so
+# per-call overhead takes over: per 8192-replicate perfect chunk (one
 # thread, selection or sort alone) the networks won at 10x10 (35-41 vs
 # 54-61 ms) and 12x10 (55-66 vs 66-73 ms), and lost at 13x5 (44 vs 34-36 ms)
 # and 13x2 (24 vs 14-16 ms)
@@ -147,6 +147,10 @@ class GeneratorConfig:
     seed: int | None = None
 
     def __post_init__(self) -> None:
+        for name in ("k", "n", "seed"):
+            value = getattr(self, name)
+            if type(value) is not int and not (name == "seed" and value is None):
+                raise DataValidationError(f"generator {name} must be an integer, not {value!r}")
         if self.k < 1 or self.n < 1:
             raise DataValidationError("k and n must be positive")
         object.__setattr__(
@@ -192,54 +196,54 @@ def _draw_once(
     size: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    # every cell reads one slot of its own comparison set: slot i, or the
-    # slot the model swaps in for it
-    idx = np.arange(k)[None, :, None]
-
     if model.tag == "concomitant":
         companion = rng.standard_normal((size, k, n, k))
         noise = rng.standard_normal((size, k, n, k))
         lam = model.lam
         primary = lam * companion + math.sqrt(1.0 - lam * lam) * noise
         # the primary value whose companion has rank i
-        return _pick(primary, _pick(np.argsort(companion, axis=-1), idx))
+        return _pick(primary, _pick(np.argsort(companion, axis=-1), np.arange(k)[None, :, None]))
 
+    # the order statistics a slot-i cell can read: its own, then those the
+    # model swaps in for it
+    if model.tag == "inverse":
+        reads = [(i, k - 1 - i) for i in range(k)]
+    elif model.tag == "neighbor":
+        reads = [(i, min(i + 1, k - 1), max(i - 1, 0)) for i in range(k)]
+    else:
+        reads = [(i,) for i in range(k)]
     draw = rng.standard_normal if population == "normal" else rng.random
+    cells, *swapped = _order_statistics(draw, k, n, size, reads)
     if model.tag == "perfect":
-        return _draw_perfect(draw, k, n, size)
-    sets = draw((size, k, n, k))
-    sets.sort(axis=-1)
+        return cells
 
     mix = rng.random((size, k, n))
     lam = model.lam
-    if model.tag == "inverse":
-        idx = np.where(mix < lam, k - 1 - idx, idx)
-    elif model.tag == "neighbor":
-        step = np.where(mix < lam / 2, -1, np.where(mix < lam, 1, 0))
-        idx = np.clip(idx + step, 0, k - 1)
-    cells = _pick(sets, idx)
     if model.tag == "random":
         # at lam = 0 the fresh block is drawn as uniforms whatever the population
-        fresh = (draw if lam > 0.0 else rng.random)((size, k, n))
-        cells = np.where(mix < lam, fresh, cells)
+        swapped = [(draw if lam > 0.0 else rng.random)((size, k, n))]
+    # a swapped-in candidate replaces the cell where mix < lam, and the
+    # lower neighbour, copied last, where mix < lam / 2
+    for swap, bound in zip(swapped, (lam, lam / 2)):
+        np.copyto(cells, swap, where=mix < bound)
     return cells
 
 
-def _draw_perfect(draw, k: int, n: int, size: int) -> np.ndarray:
-    """Cell (i, l) as the i-th smallest of set (i, l), one block of replicates at a time.
+def _order_statistics(draw, k: int, n: int, size: int, reads: list) -> list[np.ndarray]:
+    """Out j holds, at cell (i, l), member reads[i][j] of set (i, l) sorted.
 
     Each block's comparison sets are drawn into one reused (rows, k, n, k)
     buffer; consecutive fills consume the stream exactly as one
     (size, k, n, k) draw would.  Up to _SELECT_MAX_K, slot i's sets are
-    copied member-major into contiguous (rows, n) wires and slot i's
-    pruned network runs on them: each comparator is an elementwise min or
-    max of two wires, so the cells are the very doubles a sort would put
-    there.  Above it the block is sorted and its diagonal read.
+    copied member-major into contiguous (rows, n) wires and the network
+    pruned to reads[i] runs on them: each comparator is an elementwise min
+    or max of two wires, so the cells are the very doubles a sort would
+    put there.  Above it the block is sorted and the same members read.
     """
     blocks = replicate_blocks(size, 8 * k * n * k)
     rows = blocks[0].stop
     buf = np.empty((rows, k, n, k))
-    cells = np.empty((size, k, n))
+    outs = [np.empty((size, k, n)) for _ in reads[0]]
     select = k <= _SELECT_MAX_K
     # k wires and one spare for a comparator that keeps both outputs
     scratch = np.empty((k + 1, rows, n)) if select else None
@@ -247,34 +251,34 @@ def _draw_perfect(draw, k: int, n: int, size: int) -> np.ndarray:
         sets = draw(out=buf[: block.stop - block.start])
         if not select:
             sets.sort(axis=-1)
-            # the diagonal over the slot and set-member axes
-            cells[block] = np.diagonal(sets, axis1=1, axis2=3).transpose(0, 2, 1)
-            continue
         for i in range(k):
-            # wire m holds member m of slot i's sets, (rows, n) contiguous
-            np.copyto(scratch[:k, : len(sets)], sets[:, i].transpose(2, 0, 1))
-            *wire, spare = scratch[:, : len(sets)]
-            for a, b, low, high in _selection_plan(k, i):
-                if low and high:
-                    np.minimum(wire[a], wire[b], out=spare)
-                    np.maximum(wire[a], wire[b], out=wire[b])
-                    wire[a], spare = spare, wire[a]
-                elif low:
-                    np.minimum(wire[a], wire[b], out=wire[a])
-                else:
-                    np.maximum(wire[a], wire[b], out=wire[b])
-            cells[block, i] = wire[i]
-    return cells
+            # member m of slot i's sets, (rows, n)
+            member = sets[:, i].transpose(2, 0, 1)
+            if select:
+                np.copyto(scratch[:k, : len(sets)], member)
+                *member, spare = scratch[:, : len(sets)]
+                for a, b, low, high in _selection_plan(k, reads[i]):
+                    if low and high:
+                        np.minimum(member[a], member[b], out=spare)
+                        np.maximum(member[a], member[b], out=member[b])
+                        member[a], spare = spare, member[a]
+                    elif low:
+                        np.minimum(member[a], member[b], out=member[a])
+                    else:
+                        np.maximum(member[a], member[b], out=member[b])
+            for out, m in zip(outs, reads[i]):
+                out[block, i] = member[m]
+    return outs
 
 
 @lru_cache(maxsize=None)
-def _selection_plan(k: int, i: int) -> tuple[tuple[int, int, bool, bool], ...]:
-    """The comparators of a k-wire sorting network that output wire i reads.
+def _selection_plan(k: int, outputs: tuple[int, ...]) -> tuple[tuple[int, int, bool, bool], ...]:
+    """The comparators of a k-wire sorting network that the output wires read.
 
     The network is Batcher's merge exchange (Knuth, TAOCP 5.2.2,
     Algorithm M): comparator (a, b), a < b, leaves the min on wire a and
-    the max on wire b.  Walking it backwards from wire i keeps each
-    comparator that feeds a wire still read, flagged with whether its
+    the max on wire b.  Walking it backwards from the output wires keeps
+    each comparator that feeds a wire still read, flagged with whether its
     min (`low`) and max (`high`) are read later.
     """
     network = []
@@ -285,7 +289,7 @@ def _selection_plan(k: int, i: int) -> tuple[tuple[int, int, bool, bool], ...]:
             network += [(a, a + d) for a in range(k - d) if a & p == r]
             d, q, r = q - p, q >> 1, p
         p >>= 1
-    read, plan = {i}, []
+    read, plan = set(outputs), []
     for a, b in reversed(network):
         if a in read or b in read:
             plan.append((a, b, a in read, b in read))

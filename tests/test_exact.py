@@ -313,6 +313,42 @@ def test_cap_refusal_is_worded_once():
         assert ("raise the cap" in str(engine.value)) == (k * n <= OPT_IN_EXACT_CELL_CAP)
 
 
+def fraction_sum_of_iid(pmf, n):
+    """The n-fold convolution of a pmf, one Fraction product at a time."""
+    out = {0: Fraction(1)}
+    for _ in range(n):
+        acc = defaultdict(Fraction)
+        for v, p in out.items():
+            for w, q in pmf.items():
+                acc[v + w] += p * q
+        out = acc
+    return dict(sorted(out.items()))
+
+
+def fraction_max_of_iid(pmf, n):
+    """The pmf of the largest of n i.i.d. draws, F(v)^n - F(v-)^n in Fractions."""
+    out = {}
+    below = cdf = Fraction(0)
+    for v, p in pmf.items():
+        cdf += p
+        out[v] = cdf**n - below**n
+        below = cdf
+    return out
+
+
+@pytest.mark.parametrize("kind", [K.S_SUM, K.N_SUM, K.A_MAX])
+def test_integer_cycle_chain_matches_the_fraction_loops(kind):
+    # beyond the cap, 8x3 from the exact 8x1 per-cycle pmf: the integer
+    # convolution and CDF power give the Fraction loops' pmf atom for atom
+    from rsstest.exact import _pmf
+    from rsstest.statistics import CYCLE_OF
+
+    cycle = exact_distributions(8, 1)[CYCLE_OF[kind]]
+    oracle = (fraction_sum_of_iid if kind in SUM_KINDS else fraction_max_of_iid)(cycle, 3)
+    numers, denom = _pmf(8, 3, kind)
+    assert [(v, Fraction(p, denom)) for v, p in numers.items()] == list(oracle.items())
+
+
 def test_opt_in_cap_allows_nine_cells():
     pmf = exact_distributions(3, 3, max_cells=9)[K.PA]
     assert sum(pmf.values()) == 1

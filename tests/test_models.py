@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -71,6 +72,15 @@ def test_model_parse_errors():
 
 def test_perfect_ignores_parameter():
     assert ImperfectModel("perfect", 0.7).lam == 0.0
+
+
+@pytest.mark.parametrize(
+    "field,value", [("k", 3.0), ("n", np.int64(2)), ("n", True), ("seed", 1.5), ("seed", "7")]
+)
+def test_generator_config_refuses_non_int_fields(field, value):
+    fields = {"k": 3, "n": 2, "seed": None, field: value}
+    with pytest.raises(DataValidationError, match=f"generator {field} must be an integer"):
+        GeneratorConfig(model=ImperfectModel("neighbor", 0.5), **fields)
 
 
 def test_generator_config_population_rules():
@@ -337,7 +347,8 @@ def test_concomitant_negated_correlation_is_negated_sample():
 # The perfect model ignores its parameter; inverse and neighbor coincide
 # at lambda 0.  Every model is pinned at k = 3; the perfect model also at
 # k = 1, 2, 4, 5, 6, 7, 10 and 12, where it selects its order statistics,
-# and at k = 13, where it sorts.
+# and at k = 13, where it sorts; random, inverse and neighbor also at
+# k = 4 and 10, where they select, and at k = 13.
 DRAW_STREAM_PINS = {
     ("perfect", "uniform", 0.0, 3): "d0228d24ddfd2b1d",
     ("perfect", "normal", 0.0, 3): "23d2513623fd6535",
@@ -380,6 +391,24 @@ DRAW_STREAM_PINS = {
     ("perfect", "normal", 0.0, 12): "a974d995e2398df4",
     ("perfect", "uniform", 0.0, 13): "3cc621e0d99dcb3d",
     ("perfect", "normal", 0.0, 13): "4c3973d519854568",
+    ("random", "uniform", 0.5, 4): "f049a1817b6bd44b",
+    ("random", "uniform", 0.5, 10): "0e091f15d0c0d1a6",
+    ("random", "uniform", 0.5, 13): "9e7989bec002629d",
+    ("random", "normal", 0.5, 4): "a8951e5dd34dc72f",
+    ("random", "normal", 0.5, 10): "4d153d33413bc72e",
+    ("random", "normal", 0.5, 13): "0ce30dc14f00a6c7",
+    ("inverse", "uniform", 0.5, 4): "6bee4820bfefbbb8",
+    ("inverse", "uniform", 0.5, 10): "9dc0e2e5bbc73aed",
+    ("inverse", "uniform", 0.5, 13): "38728d47b7be5327",
+    ("inverse", "normal", 0.5, 4): "10541008755743b3",
+    ("inverse", "normal", 0.5, 10): "9205b2604cd8b49f",
+    ("inverse", "normal", 0.5, 13): "da2cd6ce69bca5ca",
+    ("neighbor", "uniform", 0.5, 4): "bc1adf691ef0571d",
+    ("neighbor", "uniform", 0.5, 10): "d06e49f6d53a119b",
+    ("neighbor", "uniform", 0.5, 13): "7c6f6a5bdf46df96",
+    ("neighbor", "normal", 0.5, 4): "fbdf2d5c9da857d9",
+    ("neighbor", "normal", 0.5, 10): "7d6c6bc3cde62445",
+    ("neighbor", "normal", 0.5, 13): "4701d45cc116b147",
 }
 
 
@@ -428,6 +457,90 @@ def test_perfect_draw_is_the_sorted_diagonal(k, population, monkeypatch):
         want = sorted_diagonal_draw(population, k, n, size, oracle_rng)
         assert cells.tobytes() == want.tobytes(), (k, population, size)
         assert rng.random() == oracle_rng.random(), (k, population, size)
+
+
+def whole_chunk_fraction_draw(model, population, k, n, size, rng):
+    """A fraction model's draw by definition: sort every comparison set,
+    read slot i, its mirror or a clamped neighbour as the mixing uniforms
+    say, then swap in the random model's fresh draws."""
+    draw = rng.standard_normal if population == "normal" else rng.random
+    sets = draw((size, k, n, k))
+    sets.sort(axis=-1)
+    mix = rng.random((size, k, n))
+    lam = model.lam
+    idx = np.arange(k)[None, :, None]
+    if model.tag == "inverse":
+        idx = np.where(mix < lam, k - 1 - idx, idx)
+    elif model.tag == "neighbor":
+        step = np.where(mix < lam / 2, -1, np.where(mix < lam, 1, 0))
+        idx = np.clip(idx + step, 0, k - 1)
+    cells = np.take_along_axis(sets, idx[..., None], axis=-1)[..., 0]
+    if model.tag == "random":
+        fresh = (draw if lam > 0.0 else rng.random)((size, k, n))
+        cells = np.where(mix < lam, fresh, cells)
+    return cells
+
+
+@pytest.mark.parametrize("population", ["uniform", "normal"])
+@pytest.mark.parametrize("k", range(1, models._SELECT_MAX_K + 2))
+@pytest.mark.parametrize("tag", ["random", "inverse", "neighbor"])
+def test_fraction_draw_is_the_whole_chunk_draw(tag, k, population, monkeypatch):
+    # bit for bit, as test_perfect_draw_is_the_sorted_diagonal checks the
+    # perfect draw: both sides of the selection rule, blocks cut so that a
+    # full chunk spans several and ends in a short one, the stream's end,
+    # and no tie regeneration
+    n = 10
+    row_bytes = 8 * k * n * k
+    monkeypatch.setattr(batch, "BLOCK_BYTES", min(batch.BLOCK_BYTES, 3000 * row_bytes))
+    blocks = batch.replicate_blocks(8192, row_bytes)
+    assert len(blocks) > 1 and blocks[-1].stop - blocks[-1].start < blocks[0].stop, k
+    model = ImperfectModel(tag, 0.5)
+    for size in (1, 3616, 8192):
+        rng, oracle_rng = substream(k + size, 4), substream(k + size, 4)
+        ties = models.tie_regeneration_count
+        cells = draw_cells(model, population, k, n, size, rng)
+        assert models.tie_regeneration_count == ties, (k, population, size)
+        want = whole_chunk_fraction_draw(model, population, k, n, size, oracle_rng)
+        assert cells.tobytes() == want.tobytes(), (k, population, size)
+        assert rng.random() == oracle_rng.random(), (k, population, size)
+
+
+@pytest.mark.parametrize("k", range(1, models._SELECT_MAX_K + 2))
+def test_selection_plan_outputs_are_order_statistics(k):
+    # every output wire of a multi-output plan, run as the draw runs it,
+    # holds its order statistic: on every 0-1 input (which settles any
+    # comparator network) and on random doubles
+    ones = (np.arange(2**k)[:, None] >> np.arange(k)) & 1
+    inputs = np.concatenate([ones.astype(float), substream(k, 6).random((500, k))])
+    want = np.sort(inputs, axis=1)
+    output_sets = [tuple(range(k))] + [
+        outputs
+        for i in range(k)
+        for outputs in ((i,), (i, k - 1 - i), (i, max(i - 1, 0), min(i + 1, k - 1)))
+    ]
+    for outputs in output_sets:
+        wire = list(inputs.T.copy())
+        for a, b, low, high in models._selection_plan(k, outputs):
+            low_value, high_value = np.minimum(wire[a], wire[b]), np.maximum(wire[a], wire[b])
+            if low:
+                wire[a] = low_value
+            if high:
+                wire[b] = high_value
+        for m in outputs:
+            assert wire[m].tobytes() == want[:, m].tobytes(), (k, outputs, m)
+
+
+def test_neighbor_wide_chunk_holds_a_bounded_working_set():
+    # one neighbor:0.5 10x10 chunk peaks at about 27 MB: its three
+    # candidate arrays, the mixing uniforms and one draw block.  Drawing
+    # and sorting the whole chunk's comparison sets peaked at about 90 MB.
+    tracemalloc.start()
+    try:
+        draw_cells(ImperfectModel("neighbor", 0.5), "uniform", 10, 10, 8192, substream(1, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48e6, peak
 
 
 def test_tied_rows_finds_equal_cells_in_any_position():

@@ -73,7 +73,7 @@ def exact_pmf(
 ) -> dict[int, Fraction]:
     """Exact pmf of one statistic, values ascending; builds only its own chain."""
     check_exact_cap(k, n, max_cells)
-    numers, denom = _pmf(k, n, kind)
+    numers, denom = _pmf(k, n, K.from_tag(kind))
     return {v: Fraction(p, denom) for v, p in numers.items()}
 
 

@@ -80,7 +80,7 @@ def mc_null_distributions(
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")
-    kinds = tuple(dict.fromkeys(kinds))
+    kinds = tuple(dict.fromkeys(map(StatisticKind.from_tag, kinds)))
 
     def one_chunk(
         rng: np.random.Generator, take: int
@@ -175,7 +175,7 @@ def null_distributions_for(
 
     `seed` seeds a Monte Carlo null only when `source.seed` is None.
     """
-    kinds = tuple(dict.fromkeys(kinds))
+    kinds = tuple(dict.fromkeys(map(StatisticKind.from_tag, kinds)))
     if source.is_exact(k, n):
         return {
             kind: exact_null_distribution(kind, k, n, max_cells=source.exact_cells_cap)

@@ -17,26 +17,28 @@ up being measured for rank slot i:
                    smallest of the same set (clamped at the ends)
                    replaces the i-th.
 
-`_draw_once` makes the slot choice in one place.  A slot-i cell of a
-fraction model reads one of a few order statistics of its set: slot i
-(perfect, random), its mirror k-1-i (inverse) or a neighbour clamped to
-0..k-1 (neighbor).  `_order_statistics` draws the sets one block of
-replicates at a time into one reused buffer of about `batch.BLOCK_BYTES`
-and returns one (size, k, n) array per candidate, so a chunk holds those
-plus one block however large k^2 n grows.  For k <= 12 slot i's sets are
-copied member-major into contiguous wires and a min/max network pruned
-to its candidates (`_selection_plan`) selects them, sorting nothing;
-from k = 13 on a network costs more than sorting the block, so the block
-is sorted in place.  Both give the same doubles as one sort of the whole
-draw.  The mixing uniforms, drawn after all the sets, then choose each
-cell among its candidates or, under the random model, a fresh draw.  The
-concomitant model ranks by a companion: it draws all its (size, k, n, k)
-pairs at once and reads each cell with one gather, `_pick`.  Draw order
-per batch is fixed and documented on `draw_cells`, so any seeded stream
-reproduces the same cells regardless of callers.  The all-cells-distinct
-requirement is enforced by regenerating offending replicates (a
-probability-zero event under continuous populations); regenerations are
-counted in `tie_regeneration_count`.
+`_draw_once` makes the slot choice in one place.  Every model draws its
+comparison sets through `_set_blocks`, one block of replicates at a time
+into one reused buffer of about `batch.BLOCK_BYTES`, so a chunk holds its
+(size, k, n) arrays plus one block however large k^2 n grows.  A slot-i
+cell of a fraction model reads one of a few order statistics of its set:
+slot i (perfect, random), its mirror k-1-i (inverse) or a neighbour
+clamped to 0..k-1 (neighbor).  `_order_statistics` returns one (size, k,
+n) array per candidate.  For k <= 12 slot i's sets are copied
+member-major into contiguous wires and a min/max network pruned to its
+candidates (`_selection_plan`) selects them, sorting nothing; from k = 13
+on a network costs more than sorting the block, so the block is sorted
+in place.  Both give the same doubles as one sort of the whole draw.  The
+mixing uniforms, drawn after all the sets, then choose each cell among
+its candidates or, under the random model, a fresh draw.  The
+concomitant model ranks by a companion and passes over the blocks
+twice, since all companions come before all noise in the stream: once
+to find each cell's member (`_pick`), and once to add its noise.  Draw
+order per batch is fixed and documented on `draw_cells`, so any seeded
+stream reproduces the same cells regardless of callers.  The
+all-cells-distinct requirement is enforced by regenerating offending
+replicates (a probability-zero event under continuous populations);
+regenerations are counted in `tie_regeneration_count`.
 
 `slot_density` states once the law these draws follow, as an exact
 polynomial per slot; the exact engine and `marginal_cdf` integrate it.
@@ -86,7 +88,10 @@ class ImperfectModel:
             raise DataValidationError(
                 f"unknown model tag {self.tag!r}; expected one of {', '.join(MODEL_TAGS)}"
             )
-        lam = float(self.lam)
+        try:
+            lam = float(self.lam)
+        except (TypeError, ValueError):
+            raise DataValidationError(f"bad model parameter {self.lam!r}: not a number") from None
         if self.tag == "perfect":
             lam = 0.0  # parameter is ignored
         elif self.tag == "concomitant":
@@ -113,10 +118,7 @@ class ImperfectModel:
             raise DataValidationError(
                 f"model {tag!r} needs a parameter, e.g. '{tag}:0.5'"
             )
-        try:
-            return cls(tag, float(lam))
-        except ValueError:
-            raise DataValidationError(f"bad model parameter {lam!r}") from None
+        return cls(tag, lam)
 
 
 def resolve_population(model_tag: str, population: str | None) -> Population:
@@ -169,22 +171,18 @@ def draw_cells(
     """Draw `size` independent samples as a (size, k, n) float array.
 
     Stream layout, in order, all of fixed shape so a chunk's draws depend
-    only on the stream: comparison sets (size, k, n, k) [pairs of normal
-    blocks for concomitant], then for fraction models the mixing uniforms
-    (size, k, n), then for the random model the fresh draws (size, k, n),
-    which are uniforms at lam = 0 whatever the population.
-    Replicates containing tied cells are redrawn from the same stream.
+    only on the stream: comparison sets (size, k, n, k) [for concomitant,
+    the companions' normals, then the noise's], then for fraction models
+    the mixing uniforms (size, k, n), then for the random model the fresh
+    draws (size, k, n), which are uniforms at lam = 0 whatever the
+    population.  Replicates containing tied cells are redrawn from the
+    same stream until none is tied.
     """
     cells = _draw_once(model, population, k, n, size, rng)
-    bad = _tied_rows(cells)
     global tie_regeneration_count
-    while bad.any():
+    while (bad := _tied_rows(cells)).any():
         tie_regeneration_count += int(bad.sum())
-        fresh = _draw_once(model, population, k, n, int(bad.sum()), rng)
-        cells[bad] = fresh
-        still = np.zeros(len(cells), dtype=bool)
-        still[bad] = _tied_rows(fresh)
-        bad = still
+        cells[bad] = _draw_once(model, population, k, n, int(bad.sum()), rng)
     return cells
 
 
@@ -196,13 +194,18 @@ def _draw_once(
     size: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
+    lam = model.lam
     if model.tag == "concomitant":
-        companion = rng.standard_normal((size, k, n, k))
-        noise = rng.standard_normal((size, k, n, k))
-        lam = model.lam
-        primary = lam * companion + math.sqrt(1.0 - lam * lam) * noise
-        # the primary value whose companion has rank i
-        return _pick(primary, _pick(np.argsort(companion, axis=-1), np.arange(k)[None, :, None]))
+        # all companions come before all noise in the stream: the first pass
+        # keeps each cell's member, the one whose companion ranks i-th, and
+        # lam times its companion; the second adds that member's noise
+        cells, member = np.empty((size, k, n)), np.empty((size, k, n), dtype=np.intp)
+        for block, sets in _set_blocks(rng.standard_normal, k, n, size):
+            member[block] = _pick(np.argsort(sets, axis=-1), np.arange(k)[None, :, None])
+            cells[block] = lam * _pick(sets, member[block])
+        for block, noise in _set_blocks(rng.standard_normal, k, n, size):
+            cells[block] += math.sqrt(1.0 - lam * lam) * _pick(noise, member[block])
+        return cells
 
     # the order statistics a slot-i cell can read: its own, then those the
     # model swaps in for it
@@ -218,7 +221,6 @@ def _draw_once(
         return cells
 
     mix = rng.random((size, k, n))
-    lam = model.lam
     if model.tag == "random":
         # at lam = 0 the fresh block is drawn as uniforms whatever the population
         swapped = [(draw if lam > 0.0 else rng.random)((size, k, n))]
@@ -232,25 +234,22 @@ def _draw_once(
 def _order_statistics(draw, k: int, n: int, size: int, reads: list) -> list[np.ndarray]:
     """Out j holds, at cell (i, l), member reads[i][j] of set (i, l) sorted.
 
-    Each block's comparison sets are drawn into one reused (rows, k, n, k)
-    buffer; consecutive fills consume the stream exactly as one
-    (size, k, n, k) draw would.  Up to _SELECT_MAX_K, slot i's sets are
-    copied member-major into contiguous (rows, n) wires and the network
-    pruned to reads[i] runs on them: each comparator is an elementwise min
-    or max of two wires, so the cells are the very doubles a sort would
-    put there.  Above it the block is sorted and the same members read.
+    The sets come a block at a time from `_set_blocks`.  Up to
+    _SELECT_MAX_K, slot i's sets are copied member-major into contiguous
+    (rows, n) wires and the network pruned to reads[i] runs on them: each
+    comparator is an elementwise min or max of two wires, so the cells are
+    the very doubles a sort would put there.  Above it the block is sorted
+    and the same members read.
     """
-    blocks = replicate_blocks(size, 8 * k * n * k)
-    rows = blocks[0].stop
-    buf = np.empty((rows, k, n, k))
     outs = [np.empty((size, k, n)) for _ in reads[0]]
     select = k <= _SELECT_MAX_K
-    # k wires and one spare for a comparator that keeps both outputs
-    scratch = np.empty((k + 1, rows, n)) if select else None
-    for block in blocks:
-        sets = draw(out=buf[: block.stop - block.start])
+    for block, sets in _set_blocks(draw, k, n, size):
         if not select:
             sets.sort(axis=-1)
+        elif block.start == 0:
+            # k wires and one spare for a comparator that keeps both
+            # outputs, sized by the first block, the largest
+            scratch = np.empty((k + 1, len(sets), n))
         for i in range(k):
             # member m of slot i's sets, (rows, n)
             member = sets[:, i].transpose(2, 0, 1)
@@ -269,6 +268,19 @@ def _order_statistics(draw, k: int, n: int, size: int, reads: list) -> list[np.n
             for out, m in zip(outs, reads[i]):
                 out[block, i] = member[m]
     return outs
+
+
+def _set_blocks(draw, k: int, n: int, size: int):
+    """Each block of replicates with its (rows, k, n, k) comparison sets.
+
+    Every block is drawn into one reused buffer of about
+    `batch.BLOCK_BYTES`; consecutive fills consume the stream exactly as
+    one (size, k, n, k) draw would.
+    """
+    blocks = replicate_blocks(size, 8 * k * n * k)
+    buf = np.empty((blocks[0].stop, k, n, k))
+    for block in blocks:
+        yield block, draw(out=buf[: block.stop - block.start])
 
 
 @lru_cache(maxsize=None)

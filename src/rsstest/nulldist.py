@@ -119,6 +119,7 @@ class NullDistribution:
     provenance: Provenance
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "kind", StatisticKind.from_tag(self.kind))
         if len(self.support) != len(self.probs) or not self.support:
             raise ValueError("support and probs must be parallel and non-empty")
         if any(b <= a for a, b in zip(self.support, self.support[1:])):
@@ -402,6 +403,7 @@ def run_test(
     attained level; randomized tests reject there with probability gamma,
     drawn from `rng`, achieving size exactly alpha.
     """
+    kind = StatisticKind.from_tag(kind)
     if dist.kind is not kind or dist.k != sample.k or dist.n != sample.n:
         raise DistributionMismatchError(
             f"distribution is for {dist.kind.value} on a {dist.k}x{dist.n} grid; "

@@ -74,13 +74,13 @@ class PowerStudy:
             raise DataValidationError("at least one statistic is required")
         if len(set(kinds)) < len(kinds):
             raise DataValidationError("a statistic is requested more than once")
+        for lam in self.lambda_grid:
+            ImperfectModel(self.model_tag, lam)  # validates tag, type and domain
         grid = tuple(float(v) for v in self.lambda_grid)
         if not grid:
             raise DataValidationError("the parameter grid must not be empty")
         if len(set(grid)) < len(grid):
             raise DataValidationError("the parameter grid repeats a value")
-        for lam in grid:
-            ImperfectModel(self.model_tag, lam)  # validates tag and domain
         alpha = as_exact_probability(self.alpha)
         if not 0 < alpha < 1:
             raise DataValidationError("alpha must lie strictly between 0 and 1")
@@ -119,7 +119,7 @@ class PowerStudy:
             n=doc["n"],
             kinds=tuple(StatisticKind.from_tag(t) for t in doc["kinds"]),
             model_tag=doc["model"],
-            lambda_grid=tuple(float(v) for v in doc["lambda_grid"]),
+            lambda_grid=tuple(doc["lambda_grid"]),
             alpha=Fraction(doc["alpha"]),
             reps=doc["reps"],
             seed=doc["seed"],
@@ -183,6 +183,7 @@ class PowerTable:
             )
 
     def cell(self, kind: StatisticKind, lam: float) -> PowerCell:
+        kind = StatisticKind.from_tag(kind)
         for c in self.cells:
             if c.kind is kind and c.lam == lam:
                 return c
@@ -347,6 +348,7 @@ class ComparisonReport:
         return sorted(at, key=lambda c: c.power, reverse=True)
 
     def verdict(self, a: StatisticKind, b: StatisticKind) -> PairVerdict:
+        a, b = StatisticKind.from_tag(a), StatisticKind.from_tag(b)
         for v in self.verdicts:
             if v.a is a and v.b is b:
                 return v

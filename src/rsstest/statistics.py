@@ -75,7 +75,7 @@ DEFAULT_ENUMERATION_BUDGET = 10_000_000
 
 def is_lower_tail(kind: StatisticKind) -> bool:
     """True for the one statistic whose small values indicate bad ranking."""
-    return kind is StatisticKind.WSTAR
+    return StatisticKind.from_tag(kind) is StatisticKind.WSTAR
 
 
 def tuple_discrepancies(values: tuple[float, ...]) -> tuple[int, int, int]:
@@ -170,6 +170,7 @@ def statistic_range(kind: StatisticKind, k: int, n: int) -> tuple[int, int]:
     Each bound is attained: by the sample whose slots are fully in order
     and by the one whose slots are fully reversed.
     """
+    kind = StatisticKind.from_tag(kind)
     if kind in CYCLE_OF:
         lo, hi = statistic_range(CYCLE_OF[kind], k, 1)
         return (lo, hi) if kind in MAX_KINDS else (n * lo, n * hi)

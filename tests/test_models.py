@@ -60,6 +60,9 @@ def test_model_domain_validation():
         ImperfectModel("neighbor", 1.01)
     with pytest.raises(DataValidationError, match="unknown model"):
         ImperfectModel("swapped", 0.5)
+    for lam in ("abc", None, [0.5]):
+        with pytest.raises(DataValidationError, match="bad model parameter"):
+            ImperfectModel("neighbor", lam)
     assert ImperfectModel("concomitant", -0.5).lam == -0.5
 
 
@@ -348,7 +351,8 @@ def test_concomitant_negated_correlation_is_negated_sample():
 # at lambda 0.  Every model is pinned at k = 3; the perfect model also at
 # k = 1, 2, 4, 5, 6, 7, 10 and 12, where it selects its order statistics,
 # and at k = 13, where it sorts; random, inverse and neighbor also at
-# k = 4 and 10, where they select, and at k = 13.
+# k = 4 and 10, where they select, and at k = 13; the concomitant model
+# also at k = 4, 10 and 13.
 DRAW_STREAM_PINS = {
     ("perfect", "uniform", 0.0, 3): "d0228d24ddfd2b1d",
     ("perfect", "normal", 0.0, 3): "23d2513623fd6535",
@@ -409,6 +413,9 @@ DRAW_STREAM_PINS = {
     ("neighbor", "normal", 0.5, 4): "fbdf2d5c9da857d9",
     ("neighbor", "normal", 0.5, 10): "7d6c6bc3cde62445",
     ("neighbor", "normal", 0.5, 13): "4701d45cc116b147",
+    ("concomitant", "normal", 0.5, 4): "11470b607b6ac309",
+    ("concomitant", "normal", 0.5, 10): "0cd4f8ddad04c147",
+    ("concomitant", "normal", 0.5, 13): "9de121bc0764c0d8",
 }
 
 
@@ -505,6 +512,41 @@ def test_fraction_draw_is_the_whole_chunk_draw(tag, k, population, monkeypatch):
         assert rng.random() == oracle_rng.random(), (k, population, size)
 
 
+def whole_chunk_concomitant_draw(lam, k, n, size, rng):
+    """The concomitant draw by definition: all companions, then all noise,
+    for the whole chunk; each cell is the primary value lam * companion +
+    sqrt(1 - lam^2) * noise of the member whose companion ranks i-th."""
+    companion = rng.standard_normal((size, k, n, k))
+    noise = rng.standard_normal((size, k, n, k))
+    primary = lam * companion + math.sqrt(1.0 - lam * lam) * noise
+    slot = np.arange(k)[None, :, None, None]
+    member = np.take_along_axis(np.argsort(companion, axis=-1), slot, axis=-1)
+    return np.take_along_axis(primary, member, axis=-1)[..., 0]
+
+
+@pytest.mark.parametrize("lam", [-0.5, 0.5, 1.0])
+@pytest.mark.parametrize("k", [*range(1, 14), 17])
+def test_concomitant_draw_is_the_whole_chunk_draw(k, lam, monkeypatch):
+    # bit for bit, as the fraction models are checked above: blocks cut so
+    # that a full chunk spans several and ends in a short one, the stream's
+    # end, and no tie regeneration.  n shrinks with k so that the oracle's
+    # four whole-chunk (size, k, n, k) arrays stay under about 100 MB.
+    n = max(1, min(10, 240 // (k * k)))
+    row_bytes = 8 * k * n * k
+    monkeypatch.setattr(batch, "BLOCK_BYTES", min(batch.BLOCK_BYTES, 3000 * row_bytes))
+    blocks = batch.replicate_blocks(8192, row_bytes)
+    assert len(blocks) > 1 and blocks[-1].stop - blocks[-1].start < blocks[0].stop, k
+    model = ImperfectModel("concomitant", lam)
+    for size in (1, 3616, 8192):
+        rng, oracle_rng = substream(k + size, 8), substream(k + size, 8)
+        ties = models.tie_regeneration_count
+        cells = draw_cells(model, "normal", k, n, size, rng)
+        assert models.tie_regeneration_count == ties, (k, lam, size)
+        want = whole_chunk_concomitant_draw(lam, k, n, size, oracle_rng)
+        assert cells.tobytes() == want.tobytes(), (k, lam, size)
+        assert rng.random() == oracle_rng.random(), (k, lam, size)
+
+
 @pytest.mark.parametrize("k", range(1, models._SELECT_MAX_K + 2))
 def test_selection_plan_outputs_are_order_statistics(k):
     # every output wire of a multi-output plan, run as the draw runs it,
@@ -537,6 +579,19 @@ def test_neighbor_wide_chunk_holds_a_bounded_working_set():
     tracemalloc.start()
     try:
         draw_cells(ImperfectModel("neighbor", 0.5), "uniform", 10, 10, 8192, substream(1, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48e6, peak
+
+
+def test_concomitant_wide_chunk_holds_a_bounded_working_set():
+    # one concomitant:0.5 10x10 chunk peaks at about 23 MB: the cells, each
+    # cell's member index and one draw block with its argsort.  Drawing
+    # the whole chunk's companions and noise at once peaked at about 270 MB.
+    tracemalloc.start()
+    try:
+        draw_cells(ImperfectModel("concomitant", 0.5), "normal", 10, 10, 8192, substream(1, 0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -22,11 +22,13 @@ from rsstest import (
     exact_null_distribution,
 )
 from rsstest.batch import evaluate_batch
-from rsstest.mc import CHUNK_SIZE, mc_null_distributions
+from rsstest.mc import CHUNK_SIZE, mc_null_distributions, null_distributions_for
 from rsstest.models import ImperfectModel, draw_cells
-from rsstest.nulldist import critical_value
-from rsstest.statistics import is_lower_tail
+from rsstest.nulldist import NullDistribution, critical_value, run_test
+from rsstest.statistics import is_lower_tail, statistic_range
 from rsstest.streams import MODEL_STREAM_BASE, NULL_STREAM_BASE, POWER_STREAM_BASE, substream
+
+from conftest import make_sample
 
 K = StatisticKind
 
@@ -66,6 +68,8 @@ def test_study_validation():
         small_study(kinds=(K.PA, K.PA, K.J))
     with pytest.raises(DataValidationError, match="repeats"):
         small_study(lambda_grid=(0.5, 0.5))
+    with pytest.raises(DataValidationError, match="bad model parameter"):
+        small_study(lambda_grid=(0.0, "x"))
     # a seed that is no integer would reach the stream arithmetic, or JSON as null
     with pytest.raises(DataValidationError, match="seed"):
         small_study(seed=None)
@@ -90,6 +94,13 @@ def test_unknown_population_is_refused():
     doc = estimate_power(small_study(reps=100)).to_json_dict()
     doc["study"]["population"] = "gaussian"
     with pytest.raises(DataValidationError, match="population"):
+        PowerTable.from_json_dict(doc)
+
+
+def test_power_table_reload_refuses_a_grid_value_that_is_no_number():
+    doc = estimate_power(small_study(reps=100)).to_json_dict()
+    doc["study"]["lambda_grid"] = ["x"]
+    with pytest.raises(DataValidationError, match="bad model parameter"):
         PowerTable.from_json_dict(doc)
 
 
@@ -449,3 +460,31 @@ def test_compare_tests_mismatched_grids():
 def test_compare_tests_empty():
     with pytest.raises(ValueError):
         compare_tests([])
+
+
+def test_statistic_tags_act_as_their_members():
+    # a wire tag such as "PA" is coerced at every entry point, so each call
+    # gives with the tag exactly what it gives with the member
+    for kind in K:
+        assert statistic_range(kind.value, 3, 3) == statistic_range(kind, 3, 3)
+        assert is_lower_tail(kind.value) == is_lower_tail(kind)
+        assert exact_null_distribution(kind.value, 2, 2) == exact_null_distribution(kind, 2, 2)
+    member = exact_null_distribution(K.WSTAR, 2, 2)
+    tagged = exact_null_distribution("Wstar", 2, 2)
+    assert tagged == member and tagged.kind is K.WSTAR and tagged.tail == "lower"
+    assert critical_value(tagged, "0.1") == critical_value(member, "0.1")
+    pa = exact_null_distribution(K.PA, 2, 2)
+    rebuilt = NullDistribution("PA", 2, 2, pa.support, pa.probs, pa.provenance)
+    assert rebuilt == pa and rebuilt.kind is K.PA
+    sample = make_sample([[0.1, 0.4], [0.3, 0.2]])
+    assert run_test(sample, "Wstar", tagged, "0.2") == run_test(sample, K.WSTAR, member, "0.2")
+    mc = mc_null_distributions(["J", K.PA], 2, 3, 500, seed=1)
+    assert list(mc) == [K.J, K.PA] and all(type(kind) is K for kind in mc)
+    assert mc == mc_null_distributions([K.J, K.PA], 2, 3, 500, seed=1)
+    nulls = null_distributions_for(["PA"], 2, 2)
+    assert list(nulls) == [K.PA] and type(next(iter(nulls))) is K
+    assert nulls == null_distributions_for([K.PA], 2, 2)
+    table = estimate_power(small_study(kinds=(K.PA, K.J), reps=200))
+    assert table.cell("PA", 0.5) == table.cell(K.PA, 0.5)
+    report = compare_tests([table])
+    assert report.verdict("PA", "J") == report.verdict(K.PA, K.J)

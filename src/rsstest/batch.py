@@ -25,20 +25,21 @@ sample.  J and PA are sums over the cells of `cell_shares`,
 which depend only on the cell's slot and the per-slot counts of cells
 below it.  A PA share convolves only the shorter tail of the cell's rank
 distribution, and none at all for the first and last slots.  The totals
-take one of two paths, chosen from the input's shape alone:
+take one of two paths, chosen from the grid (k, n) alone, so a batch of
+any size takes the path a full CHUNK_SIZE chunk would:
 
   table  when the accumulator is int64 and the k (n+1)^k entries of
-         `share_table` are no more than the batch's B k n cells (at a
-         full chunk: 3x3, 4x5, 5x4 and 8x2, among others).  Along the
-         sorted order one count goes up per step, so the exclusive
-         running sum of (n+1)^slot, plus slot * (n+1)^k, indexes each
-         cell's share: one gather.
-  fold   otherwise (6x10, 10x10, object accumulators, small batches).
-         One block of rows of the order at a time (BLOCK_BYTES of
-         counts, so 4194 replicates on 10x10), `_below_counts` builds
-         the slot-major counts, `counts[i]` the slot-i cells below each
-         cell, and `cell_shares` folds them in.  The path is chosen
-         on the whole batch, never per block.
+         `share_table` are no more than a full chunk's CHUNK_SIZE k n
+         cells and fit in BLOCK_BYTES (3x3, 4x5, 5x4, 6x4, 7x3, 4x16 and
+         8x2, among others).  Along the sorted order one count goes up
+         per step, so the exclusive running sum of (n+1)^slot, plus
+         slot * (n+1)^k, indexes each cell's share: one gather.
+  fold   otherwise (8x3, 6x10, 10x10, 2x512 and wider k = 2 grids,
+         object accumulators).  One block
+         of rows of the order at a time (BLOCK_BYTES of counts, so 4194
+         replicates on 10x10), `_below_counts` builds the slot-major
+         counts, `counts[i]` the slot-i cells below each cell, and
+         `cell_shares` folds them in.
 
 The other eight statistics are derived as `statistics` defines them: PN
 and PS through `affine_base` from J and Wstar, and each cycle kind
@@ -67,9 +68,12 @@ from .statistics import CYCLE_OF, SUM_KINDS, StatisticKind, affine_base, ps_offs
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
+# the replicates of one seeded Monte Carlo chunk (`mc.run_chunks`)
+CHUNK_SIZE = 8192
+
 # the byte budget of one block of replicates: the perfect draw's comparison
 # sets and the fold's below-counts are built one block of rows at a time,
-# so their size does not grow with the chunk
+# so their size does not grow with the chunk; a share table stays within it
 BLOCK_BYTES = 4 << 20
 
 
@@ -129,7 +133,10 @@ def evaluate_batch(
             ranks = np.arange(1, k * n + 1, dtype=np.int64)
             totals[StatisticKind.WSTAR] = (order // n + 1).dot(ranks)
         count_bases = bases - {StatisticKind.WSTAR}
-        if count_bases and acc is np.int64 and k * (n + 1) ** k <= b * k * n:
+        # k (n+1)^k table entries: no more than a full chunk's cells, and
+        # no more than one block's bytes whatever the batch
+        table = acc is np.int64 and (n + 1) ** k <= min(CHUNK_SIZE * n, BLOCK_BYTES // (8 * k))
+        if count_bases and table:
             totals.update(_table_totals(order, count_bases, k, n))
         elif count_bases:
             totals.update(_fold_totals(order, count_bases, k, n, acc))

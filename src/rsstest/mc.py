@@ -23,18 +23,17 @@ from typing import Callable, Iterable, TypeVar
 
 import numpy as np
 
-from .batch import evaluate_batch
+from .batch import CHUNK_SIZE, evaluate_batch
 from .errors import DataValidationError
 from .exact import DEFAULT_EXACT_CELL_CAP, OPT_IN_EXACT_CELL_CAP, check_exact_cap
-from .models import ImperfectModel, draw_cells
+# draw_cells stays bound here, where bench/tracing.py wraps the draw by name
+from .models import draw_cells, perfect_blocks
 from .nulldist import NullDistribution, Provenance, exact_null_distribution
 from .statistics import StatisticKind
 from .streams import NULL_STREAM_BASE, substream
 
-CHUNK_SIZE = 8192
 NULL_METHODS = ("auto", "exact", "monte-carlo")
 
-_PERFECT = ImperfectModel("perfect")
 T = TypeVar("T")
 
 
@@ -77,6 +76,12 @@ def mc_null_distributions(
     are the first `take` rows of a full CHUNK_SIZE draw from the same
     stream, so the result does not depend on how `reps` splits into
     chunks; the two could differ only if a tie regeneration fired.
+
+    A chunk is drawn and evaluated one draw block at a time
+    (`models.perfect_blocks`) and keeps only its statistic values.  A
+    replicate with tied cells is left out of its block and replaced after
+    the chunk's last block, where `draw_cells` would draw its replacement,
+    so the null is that of `draw_cells(perfect, "uniform", k, n, take)`.
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")
@@ -85,9 +90,14 @@ def mc_null_distributions(
     def one_chunk(
         rng: np.random.Generator, take: int
     ) -> dict[StatisticKind, tuple[np.ndarray, np.ndarray]]:
-        cells = draw_cells(_PERFECT, "uniform", k, n, take, rng)
-        stats = evaluate_batch(cells, kinds)
-        return {kind: np.unique(arr, return_counts=True) for kind, arr in stats.items()}
+        parts: dict[StatisticKind, list[np.ndarray]] = {kind: [] for kind in kinds}
+        for cells in perfect_blocks(k, n, take, rng):
+            for kind, arr in evaluate_batch(cells, kinds).items():
+                parts[kind].append(arr)
+        return {
+            kind: np.unique(np.concatenate(part), return_counts=True)
+            for kind, part in parts.items()
+        }
 
     counts: dict[StatisticKind, dict[int, int]] = {kind: {} for kind in kinds}
     for result in run_chunks(one_chunk, reps, seed, NULL_STREAM_BASE, threads):

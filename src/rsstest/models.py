@@ -18,13 +18,13 @@ up being measured for rank slot i:
                    replaces the i-th.
 
 `_draw_once` makes the slot choice in one place.  Every model draws its
-comparison sets through `_set_blocks`, one block of replicates at a time
-into one reused buffer of about `batch.BLOCK_BYTES`, so a chunk holds its
-(size, k, n) arrays plus one block however large k^2 n grows.  A slot-i
+comparison sets through `_set_blocks`, one block of replicates of about
+`batch.BLOCK_BYTES` at a time, so a chunk holds its (size, k, n) arrays
+plus one block however large k^2 n grows.  A slot-i
 cell of a fraction model reads one of a few order statistics of its set:
 slot i (perfect, random), its mirror k-1-i (inverse) or a neighbour
-clamped to 0..k-1 (neighbor).  `_order_statistics` returns one (size, k,
-n) array per candidate.  For k <= 12 slot i's sets are copied
+clamped to 0..k-1 (neighbor).  `_select` writes, per block, one (rows,
+k, n) array per candidate.  For k <= 12 slot i's sets are copied
 member-major into contiguous wires and a min/max network pruned to its
 candidates (`_selection_plan`) selects them, sorting nothing; from k = 13
 on a network costs more than sorting the block, so the block is sorted
@@ -38,7 +38,12 @@ order per batch is fixed and documented on `draw_cells`, so any seeded
 stream reproduces the same cells regardless of callers.  The
 all-cells-distinct requirement is enforced by regenerating offending
 replicates (a probability-zero event under continuous populations);
-regenerations are counted in `tie_regeneration_count`.
+regenerations are counted in `tie_regeneration_count`.  Their
+replacements sit in the stream after the whole batch's draw.
+`perfect_blocks` hands a Monte Carlo null the perfect draw one block at
+a time, without the block's tied replicates, and their replacements
+after the last block, so a null chunk never holds its (size, k, n)
+cells.
 
 `slot_density` states once the law these draws follow, as an exact
 polynomial per slot; the exact engine and `marginal_cdf` integrate it.
@@ -176,7 +181,8 @@ def draw_cells(
     the mixing uniforms (size, k, n), then for the random model the fresh
     draws (size, k, n), which are uniforms at lam = 0 whatever the
     population.  Replicates containing tied cells are redrawn from the
-    same stream until none is tied.
+    same stream until none is tied: their replacements come after
+    everything above, drawn as one `draw_cells` of as many replicates.
     """
     cells = _draw_once(model, population, k, n, size, rng)
     global tie_regeneration_count
@@ -184,6 +190,31 @@ def draw_cells(
         tie_regeneration_count += int(bad.sum())
         cells[bad] = _draw_once(model, population, k, n, int(bad.sum()), rng)
     return cells
+
+
+def perfect_blocks(k: int, n: int, size: int, rng: np.random.Generator):
+    """`draw_cells(perfect, "uniform", k, n, size, rng)` a block at a time.
+
+    Yields each draw block's untied replicates as (rows, k, n) cells, a
+    view valid until the next block is drawn, then, after the last block,
+    one `draw_cells` replacing every tied replicate: the stream's order,
+    so the replicates are the same, only in another row order.
+    """
+    global tie_regeneration_count
+    tied, reads = 0, [(i,) for i in range(k)]
+    for block, sets in _set_blocks(rng.random, k, n, size):
+        if block.start == 0:
+            buf = np.empty((len(sets), k, n))  # sized by the first block, the largest
+        cells = buf[: len(sets)]
+        _select(sets, reads, [cells])
+        del sets  # its memory serves the caller's work on the cells
+        if (bad := _tied_rows(cells)).any():
+            tied += int(bad.sum())
+            cells = cells[~bad]
+        yield cells
+    if tied:
+        tie_regeneration_count += tied
+        yield draw_cells(ImperfectModel("perfect"), "uniform", k, n, tied, rng)
 
 
 def _draw_once(
@@ -203,8 +234,10 @@ def _draw_once(
         for block, sets in _set_blocks(rng.standard_normal, k, n, size):
             member[block] = _pick(np.argsort(sets, axis=-1), np.arange(k)[None, :, None])
             cells[block] = lam * _pick(sets, member[block])
+            del sets
         for block, noise in _set_blocks(rng.standard_normal, k, n, size):
             cells[block] += math.sqrt(1.0 - lam * lam) * _pick(noise, member[block])
+            del noise
         return cells
 
     # the order statistics a slot-i cell can read: its own, then those the
@@ -216,7 +249,10 @@ def _draw_once(
     else:
         reads = [(i,) for i in range(k)]
     draw = rng.standard_normal if population == "normal" else rng.random
-    cells, *swapped = _order_statistics(draw, k, n, size, reads)
+    cells, *swapped = outs = [np.empty((size, k, n)) for _ in reads[0]]
+    for block, sets in _set_blocks(draw, k, n, size):
+        _select(sets, reads, [out[block] for out in outs])
+        del sets
     if model.tag == "perfect":
         return cells
 
@@ -231,56 +267,53 @@ def _draw_once(
     return cells
 
 
-def _order_statistics(draw, k: int, n: int, size: int, reads: list) -> list[np.ndarray]:
-    """Out j holds, at cell (i, l), member reads[i][j] of set (i, l) sorted.
+def _select(sets: np.ndarray, reads: list, outs: list) -> None:
+    """outs[j][:, i] = member reads[i][j] of slot i's sets, sorted, for one
+    block of (rows, k, n, k) comparison sets and (rows, k, n) outs.
 
-    The sets come a block at a time from `_set_blocks`.  Up to
-    _SELECT_MAX_K, slot i's sets are copied member-major into contiguous
-    (rows, n) wires and the network pruned to reads[i] runs on them: each
-    comparator is an elementwise min or max of two wires, so the cells are
-    the very doubles a sort would put there.  Above it the block is sorted
-    and the same members read.
+    Up to _SELECT_MAX_K, slot i's sets are copied member-major into
+    contiguous (rows, n) wires and the network pruned to reads[i] runs on
+    them: each comparator is an elementwise min or max of two wires, so
+    the cells are the very doubles a sort would put there.  Above it the
+    sets are sorted in place and the same members read.
     """
-    outs = [np.empty((size, k, n)) for _ in reads[0]]
+    rows, k, n, _ = sets.shape
     select = k <= _SELECT_MAX_K
-    for block, sets in _set_blocks(draw, k, n, size):
-        if not select:
-            sets.sort(axis=-1)
-        elif block.start == 0:
-            # k wires and one spare for a comparator that keeps both
-            # outputs, sized by the first block, the largest
-            scratch = np.empty((k + 1, len(sets), n))
-        for i in range(k):
-            # member m of slot i's sets, (rows, n)
-            member = sets[:, i].transpose(2, 0, 1)
-            if select:
-                np.copyto(scratch[:k, : len(sets)], member)
-                *member, spare = scratch[:, : len(sets)]
-                for a, b, low, high in _selection_plan(k, reads[i]):
-                    if low and high:
-                        np.minimum(member[a], member[b], out=spare)
-                        np.maximum(member[a], member[b], out=member[b])
-                        member[a], spare = spare, member[a]
-                    elif low:
-                        np.minimum(member[a], member[b], out=member[a])
-                    else:
-                        np.maximum(member[a], member[b], out=member[b])
-            for out, m in zip(outs, reads[i]):
-                out[block, i] = member[m]
-    return outs
+    if select:
+        # k wires and one spare for a comparator that keeps both outputs
+        scratch = np.empty((k + 1, rows, n))
+    else:
+        sets.sort(axis=-1)
+    for i in range(k):
+        # member m of slot i's sets, (rows, n)
+        member = sets[:, i].transpose(2, 0, 1)
+        if select:
+            np.copyto(scratch[:k], member)
+            *member, spare = scratch
+            for a, b, low, high in _selection_plan(k, reads[i]):
+                if low and high:
+                    np.minimum(member[a], member[b], out=spare)
+                    np.maximum(member[a], member[b], out=member[b])
+                    member[a], spare = spare, member[a]
+                elif low:
+                    np.minimum(member[a], member[b], out=member[a])
+                else:
+                    np.maximum(member[a], member[b], out=member[b])
+        for out, m in zip(outs, reads[i]):
+            out[:, i] = member[m]
 
 
 def _set_blocks(draw, k: int, n: int, size: int):
     """Each block of replicates with its (rows, k, n, k) comparison sets.
 
-    Every block is drawn into one reused buffer of about
-    `batch.BLOCK_BYTES`; consecutive fills consume the stream exactly as
-    one (size, k, n, k) draw would.
+    Every block is a fresh draw of about `batch.BLOCK_BYTES`, which each
+    caller drops before it asks for the next, so one block is held at a
+    time and its memory is free for what the caller does next;
+    consecutive draws consume the stream exactly as one (size, k, n, k)
+    draw would.
     """
-    blocks = replicate_blocks(size, 8 * k * n * k)
-    buf = np.empty((blocks[0].stop, k, n, k))
-    for block in blocks:
-        yield block, draw(out=buf[: block.stop - block.start])
+    for block in replicate_blocks(size, 8 * k * n * k):
+        yield block, draw((block.stop - block.start, k, n, k))
 
 
 @lru_cache(maxsize=None)

@@ -47,6 +47,14 @@ POWER_TABLE_FORMAT = "rsstest-power-table/1"
 _LAMBDA_STRIDE = 1 << 20  # max chunks per grid point
 
 
+def _kind(tag) -> StatisticKind:
+    """`StatisticKind.from_tag`, refusing an unknown tag as bad data."""
+    try:
+        return StatisticKind.from_tag(tag)
+    except ValueError as err:
+        raise DataValidationError(str(err)) from None
+
+
 @dataclass(frozen=True)
 class PowerStudy:
     """Configuration of one power estimation run."""
@@ -69,7 +77,7 @@ class PowerStudy:
                 raise DataValidationError(f"the study's {name} must be an integer, not {value!r}")
         if self.k < 1 or self.n < 1:
             raise DataValidationError("k and n must be positive")
-        kinds = tuple(StatisticKind(kd) for kd in self.kinds)
+        kinds = tuple(map(_kind, self.kinds))
         if not kinds:
             raise DataValidationError("at least one statistic is required")
         if len(set(kinds)) < len(kinds):
@@ -117,7 +125,7 @@ class PowerStudy:
         return cls(
             k=doc["k"],
             n=doc["n"],
-            kinds=tuple(StatisticKind.from_tag(t) for t in doc["kinds"]),
+            kinds=tuple(doc["kinds"]),
             model_tag=doc["model"],
             lambda_grid=tuple(doc["lambda_grid"]),
             alpha=Fraction(doc["alpha"]),
@@ -138,6 +146,11 @@ class PowerCell:
     reps: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "kind", _kind(self.kind))
+        try:
+            object.__setattr__(self, "lam", float(self.lam))
+        except (TypeError, ValueError):
+            raise DataValidationError(f"bad cell parameter {self.lam!r}: not a number") from None
         if self.reps < 1 or not 0 <= self.rejections <= self.reps:
             raise DataValidationError(
                 f"cell {self.kind.value} at {self.lam:g} counts {self.rejections} rejections "
@@ -163,6 +176,9 @@ class PowerTable:
     null_provenance: tuple[tuple[StatisticKind, Provenance], ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "null_provenance", tuple((_kind(kd), p) for kd, p in self.null_provenance)
+        )
         study = self.study
         pairs = sorted((c.kind, c.lam) for c in self.cells)
         if pairs != sorted(itertools.product(study.kinds, study.lambda_grid)):
@@ -236,15 +252,15 @@ class PowerTable:
             study=PowerStudy.from_json_dict(doc["study"]),
             cells=tuple(
                 PowerCell(
-                    kind=StatisticKind.from_tag(c["kind"]),
-                    lam=float(c["lambda"]),
+                    kind=c["kind"],
+                    lam=c["lambda"],
                     rejections=int(c["rejections"]),
                     reps=int(c["reps"]),
                 )
                 for c in doc["cells"]
             ),
             null_provenance=tuple(
-                (StatisticKind.from_tag(p["kind"]), Provenance.from_json_dict(p))
+                (p["kind"], Provenance.from_json_dict(p))
                 for p in doc["null_provenance"]
             ),
         )

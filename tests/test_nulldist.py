@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import rsstest.mc
+import rsstest.models
 from rsstest import (
     ALL_KINDS,
     Decision,
@@ -34,7 +36,11 @@ from rsstest import (
     run_test,
     substream,
 )
+from rsstest import batch
+from rsstest.batch import evaluate_batch
 from rsstest.mc import CHUNK_SIZE
+from rsstest.models import draw_cells
+from rsstest.streams import NULL_STREAM_BASE
 
 from conftest import make_sample, random_sample
 
@@ -287,9 +293,6 @@ def test_randomized_test_has_exact_size():
     reps = 100_000
     dist = exact_null_distribution(K.PA, 2, 2)
     crit = critical_value(dist, "0.05")
-    from rsstest.batch import evaluate_batch
-    from rsstest.models import ImperfectModel, draw_cells
-
     rng = substream(99, 0)
     cells = draw_cells(ImperfectModel("perfect"), "uniform", 2, 2, reps, rng)
     u = rng.random(reps)
@@ -318,8 +321,6 @@ def test_simulate_null_sample_single_slot_uniform():
 
 def test_top_slot_mean_matches_order_statistic():
     # for k=2 the top slot is the max of two uniforms: mean 2/3
-    from rsstest.models import ImperfectModel, draw_cells
-
     reps = 100_000
     cells = draw_cells(ImperfectModel("perfect"), "uniform", 2, 1, reps, substream(7, 0))
     top = cells[:, 1, 0]
@@ -379,8 +380,10 @@ def test_mc_distribution_free_under_monotone_transform(monkeypatch):
     # transforming every simulated sample leaves the distributions identical
     kinds = (K.PA, K.N_SUM, K.WSTAR)
     plain = mc_null_distributions(kinds, 3, 2, 20_000, seed=4)
-    draw = rsstest.mc.draw_cells
-    monkeypatch.setattr(rsstest.mc, "draw_cells", lambda *args: 2.0 * draw(*args))
+    blocks = rsstest.mc.perfect_blocks
+    monkeypatch.setattr(
+        rsstest.mc, "perfect_blocks", lambda *args: (2.0 * cells for cells in blocks(*args))
+    )
     scaled = mc_null_distributions(kinds, 3, 2, 20_000, seed=4)
     for kind in kinds:
         assert plain[kind].support == scaled[kind].support
@@ -388,17 +391,137 @@ def test_mc_distribution_free_under_monotone_transform(monkeypatch):
 
 
 def test_mc_null_draws_only_the_replicates_it_keeps(monkeypatch):
-    # a short last chunk draws `take` samples, not a full CHUNK_SIZE
-    sizes = []
-    draw = rsstest.mc.draw_cells
+    # a short last chunk draws `take` samples, not a full CHUNK_SIZE, and
+    # every chunk evaluates exactly the replicates it draws
+    sizes, rows = [], []
+    blocks = rsstest.mc.perfect_blocks
 
-    def recording_draw(model, population, k, n, size, rng):
+    def recording_blocks(k, n, size, rng):
         sizes.append(size)
-        return draw(model, population, k, n, size, rng)
+        rows.append(0)
+        for cells in blocks(k, n, size, rng):
+            rows[-1] += len(cells)
+            yield cells
 
-    monkeypatch.setattr(rsstest.mc, "draw_cells", recording_draw)
+    monkeypatch.setattr(rsstest.mc, "perfect_blocks", recording_blocks)
     mc_null_distributions((K.PA,), 3, 3, 2 * CHUNK_SIZE + 5, seed=1)
-    assert sizes == [CHUNK_SIZE, CHUNK_SIZE, 5]
+    assert sizes == rows == [CHUNK_SIZE, CHUNK_SIZE, 5]
+
+
+def whole_chunk_null(kinds, k, n, reps, seed):
+    """A seeded Monte Carlo null as one whole-chunk draw and one kernel call
+    per chunk: each chunk's `draw_cells`, `evaluate_batch` over all its
+    replicates, and `np.unique` counts, summed over the chunks."""
+    counts = {kind: {} for kind in kinds}
+    for c in range(-(-reps // CHUNK_SIZE)):
+        take = min(CHUNK_SIZE, reps - c * CHUNK_SIZE)
+        rng = substream(seed, NULL_STREAM_BASE + c)
+        cells = draw_cells(ImperfectModel("perfect"), "uniform", k, n, take, rng)
+        for kind, values in evaluate_batch(cells, kinds).items():
+            for v, f in zip(*(a.tolist() for a in np.unique(values, return_counts=True))):
+                counts[kind][v] = counts[kind].get(v, 0) + f
+    return {
+        kind: (tuple(sorted(c)), tuple(Fraction(c[v], reps) for v in sorted(c)))
+        for kind, c in counts.items()
+    }
+
+
+real_tied_rows = rsstest.models._tied_rows
+
+
+def flag_value_rows(cells):
+    """Real ties, plus every replicate whose first cell's fourth to sixth
+    decimals fall below 20: about 2% of replicates, chosen by value, so
+    the blocked and the whole-chunk draws flag the same ones."""
+    return real_tied_rows(cells) | ((cells[:, 0, 0] * 1e6) % 1000 < 20)
+
+
+# (k, n): 3x3 fits a chunk in one draw block; 6x4, 7x3 and 4x16 gather
+# from share tables over several blocks (4x16's chunk is four whole
+# blocks); 4x5 gathers too; 6x10 and 10x10 fold; 13x3 sorts its blocks
+BLOCKED_NULL_GRIDS = [(3, 3), (4, 5), (6, 4), (7, 3), (4, 16), (6, 10), (10, 10), (13, 3)]
+
+
+@pytest.mark.parametrize("k,n", BLOCKED_NULL_GRIDS)
+def test_blocked_null_is_the_whole_chunk_null(k, n, monkeypatch):
+    # bit for bit, on 1 and 2 threads, with reps ending in a short chunk
+    # that itself ends in a short draw block; then again with about 2% of
+    # replicates flagged as tied, which the blocked null leaves out of
+    # their blocks and replaces after the chunk's last block.  The tie
+    # counts are compared on one thread, where the module-global counter
+    # takes no concurrent updates.
+    rows = batch.replicate_blocks(CHUNK_SIZE, 8 * k * n * k)[0].stop
+    reps = CHUNK_SIZE + (rows + 7 if rows < CHUNK_SIZE else 1007)
+    assert (reps - CHUNK_SIZE) % rows, (k, n)
+    for forced in (False, True):
+        if forced:
+            monkeypatch.setattr(rsstest.models, "_tied_rows", flag_value_rows)
+        ties = rsstest.models.tie_regeneration_count
+        want = whole_chunk_null(ALL_KINDS, k, n, reps, seed=k + n)
+        oracle_ties = rsstest.models.tie_regeneration_count - ties
+        assert (oracle_ties > 0) == forced, (k, n, oracle_ties)
+        for threads in (1, 2):
+            ties = rsstest.models.tie_regeneration_count
+            got = mc_null_distributions(ALL_KINDS, k, n, reps, seed=k + n, threads=threads)
+            if threads == 1:
+                assert rsstest.models.tie_regeneration_count - ties == oracle_ties, (k, n)
+            for kind in ALL_KINDS:
+                assert (got[kind].support, got[kind].probs) == want[kind], (k, n, kind, forced)
+
+
+def test_mc_null_chunk_holds_a_bounded_working_set():
+    # one 8192-replicate 10x10 null chunk of all eleven kinds peaks at
+    # about 8 MB: one draw block and its kernel call, plus the chunk's
+    # statistic values.  Drawing the whole chunk's cells and evaluating
+    # them in one call peaked at about 31 MB.
+    mc_null_distributions(ALL_KINDS, 10, 10, 16, seed=1)  # plans and caches
+    tracemalloc.start()
+    try:
+        mc_null_distributions(ALL_KINDS, 10, 10, CHUNK_SIZE, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6, peak
+
+
+def record_kernel_paths(monkeypatch) -> list[str]:
+    """The kernel's table-or-fold choices from here on, one per call."""
+    calls = []
+
+    def recording(name, fn):
+        def totals(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return totals
+
+    for name in ("table", "fold"):
+        attr = f"_{name}_totals"
+        monkeypatch.setattr(batch, attr, recording(name, getattr(batch, attr)))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "k,n,path",
+    [(7, 3, "table"), (6, 4, "table"), (4, 16, "table"), (8, 3, "fold"), (6, 10, "fold")],
+)
+def test_full_null_chunk_takes_the_grids_path(k, n, path, monkeypatch):
+    # the table-or-fold choice reads the grid alone, so every draw block
+    # of a full chunk takes the path a whole-chunk call would
+    calls = record_kernel_paths(monkeypatch)
+    mc_null_distributions((K.J, K.PA), k, n, CHUNK_SIZE, seed=1)
+    assert len(calls) > 1 and set(calls) == {path}, (k, n, calls)
+
+
+@pytest.mark.parametrize("n,path", [(511, "table"), (512, "fold"), (2000, "fold")])
+def test_one_sample_builds_no_table_beyond_a_block(n, path, monkeypatch):
+    # a k = 2 table has 2 (n+1)^2 entries, which a full chunk's cells
+    # outnumber up to n = 8191; past n = 511 it would outgrow one block
+    # (312 MB of peak RSS for J and PA of one 2x2000 sample), so the
+    # kernel folds whatever the batch
+    calls = record_kernel_paths(monkeypatch)
+    evaluate(random_sample(np.random.default_rng(n), 2, n), K.PA)
+    assert calls == [path]
 
 
 def test_k2_equivalent_statistics_decide_identically():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 from collections import Counter
 from fractions import Fraction
@@ -102,6 +103,23 @@ def test_power_table_reload_refuses_a_grid_value_that_is_no_number():
     doc["study"]["lambda_grid"] = ["x"]
     with pytest.raises(DataValidationError, match="bad model parameter"):
         PowerTable.from_json_dict(doc)
+
+
+def test_unknown_statistic_tags_and_cell_lambdas_are_data_errors():
+    # each is refused as bad data, not as a raw ValueError
+    with pytest.raises(DataValidationError, match="unknown statistic tag 'bogus'"):
+        small_study(kinds=("bogus",))
+    doc = estimate_power(small_study(reps=100)).to_json_dict()
+    for edit, match in [
+        (lambda d: d["study"].update(kinds=["bogus"]), "unknown statistic tag 'bogus'"),
+        (lambda d: d["cells"][0].update(kind="bogus"), "unknown statistic tag 'bogus'"),
+        (lambda d: d["cells"][0].update({"lambda": "x"}), "bad cell parameter 'x'"),
+        (lambda d: d["null_provenance"][0].update(kind="bogus"), "unknown statistic tag 'bogus'"),
+    ]:
+        bad = json.loads(json.dumps(doc))
+        edit(bad)
+        with pytest.raises(DataValidationError, match=match):
+            PowerTable.from_json_dict(bad)
 
 
 @pytest.mark.parametrize(

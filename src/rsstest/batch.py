@@ -35,11 +35,13 @@ any size takes the path a full CHUNK_SIZE chunk would:
          per step, so the exclusive running sum of (n+1)^slot, plus
          slot * (n+1)^k, indexes each cell's share: one gather.
   fold   otherwise (8x3, 6x10, 10x10, 2x512 and wider k = 2 grids,
-         object accumulators).  One block
-         of rows of the order at a time (BLOCK_BYTES of counts, so 4194
-         replicates on 10x10), `_below_counts` builds the slot-major
-         counts, `counts[i]` the slot-i cells below each cell, and
-         `cell_shares` folds them in.
+         object accumulators).  The same running sum packs the counts:
+         slot i owns a lane of n.bit_length() bits in a uint64 word, so
+         one cumulative sum a word (one word up to 12x30, two on 13x16
+         and 9x255) counts every slot at once, and one scatter puts the
+         codes in cell order.  Per slot s, shifts read its cells' k
+         counts out of the lanes and `cell_shares` folds them in.  One
+         block of rows of the order at a time, of about BLOCK_BYTES.
 
 The other eight statistics are derived as `statistics` defines them: PN
 and PS through `affine_base` from J and Wstar, and each cycle kind
@@ -48,9 +50,9 @@ through `CYCLE_OF` from the within-cycle N, A and S.
 Results are exact integers on every grid.  Within a cycle, rank minus
 slot lies within +-(k-1) and N is at most k(k-1)/2, held in the smallest
 signed dtype that fits both (int8 up to k = 16) and returned as int64.
-J and Wstar are at most k * (kn)^2 and stay int64; the per-slot counts
-below a cell are at most n and are held in the smallest unsigned dtype
-that fits n, one byte a count up to n = 255.  The scaled quantities
+J and Wstar are at most k * (kn)^2 and stay int64; every count below a
+cell is at most n, so it fits its n.bit_length()-bit lane without
+carrying into the next, and reads out as int64.  The scaled quantities
 (PN, PS and PA's shorter-tail convolution) grow like n^k * k^3;
 `_accumulator` decides from (k, n) alone whether they fit in int64, and
 where they do not the same code runs with Python-int (object)
@@ -72,7 +74,7 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 CHUNK_SIZE = 8192
 
 # the byte budget of one block of replicates: the perfect draw's comparison
-# sets and the fold's below-counts are built one block of rows at a time,
+# sets and the fold's lane codes are built one block of rows at a time,
 # so their size does not grow with the chunk; a share table stays within it
 BLOCK_BYTES = 4 << 20
 
@@ -184,71 +186,99 @@ def _per_cycle(
     return out
 
 
+def _running_code(slot: np.ndarray, units: np.ndarray) -> np.ndarray:
+    """The exclusive running sum of units[..., slot] along each row of `slot`.
+
+    Along a sample's order exactly one count goes up per step, that of the
+    step's slot, so with a slot's unit as the step this sums, at every
+    position, what every slot's cells met before it contribute.  A 1-d
+    `units` gives one code per position, a 2-d (words, k) one per word.
+    """
+    step = np.take(units, slot, axis=-1)
+    code = np.cumsum(step, axis=-1)
+    code -= step
+    return code
+
+
 def _table_totals(
     order: np.ndarray, bases: Iterable[StatisticKind], k: int, n: int
 ) -> dict[StatisticKind, np.ndarray]:
     """Each base's sum of cell shares, by one gather from `share_table`.
 
-    Along a sample's order exactly one count goes up per step, so the
-    exclusive cumulative sum of (n+1)^slot encodes the counts below each cell.
+    The running code in radix n+1, plus slot * (n+1)^k, indexes each cell's share.
     """
     slot = order // n
-    step = np.take((n + 1) ** np.arange(k), slot)
-    index = np.cumsum(step, axis=1)
-    index -= step
+    index = _running_code(slot, (n + 1) ** np.arange(k))
     index += slot * (n + 1) ** k
     return {base: np.take(share_table(base, k, n), index).sum(axis=1) for base in bases}
+
+
+def _lanes(k: int, n: int) -> tuple[int, int, int]:
+    """(width, lanes, words): slot i's count is a lane of `width` bits in a
+    uint64 word, `lanes` to a word, slot i in word i // lanes."""
+    width = n.bit_length()
+    lanes = 64 // width
+    return width, lanes, -(-k // lanes)
+
+
+def _below_code(order: np.ndarray, k: int, n: int) -> np.ndarray:
+    """code[w, s, b, j]: the counts below sample b's cell s * n + j, in lanes.
+
+    Slot i's lane in word i // lanes holds how many slot-i cells lie below
+    the cell (`_lanes`); every count is at most n, so no lane carries into
+    the next.  One running code a word along the order, put back by one
+    scatter in cell order, slot-major, so each slot's cells are contiguous.
+    """
+    b, kn = order.shape
+    width, lanes, words = _lanes(k, n)
+    units = np.zeros((words, k), dtype=np.uint64)
+    for i in range(k):
+        units[i // lanes, i] = 1 << width * (i % lanes)
+    slot = order // n
+    running = _running_code(slot, units)
+    # cell s * n + j of sample b goes to (s, b, j)
+    at = order + slot * ((b - 1) * n) + np.arange(0, b * n, n)[:, None]
+    code = np.empty((words, k, b, n), dtype=np.uint64)
+    code.reshape(words, -1)[:, at] = running
+    return code
+
+
+def _lane_counts(code: np.ndarray, s: int, k: int, n: int, out: np.ndarray) -> np.ndarray:
+    """out[i, b, j]: the slot-i cells below sample b's cell s * n + j, read
+    from `_below_code` into `out`, a (k, rows, n) uint64 array; returned as
+    its int64 view."""
+    width, lanes, words = _lanes(k, n)
+    shifts = (width * np.arange(lanes, dtype=np.uint64))[:, None, None]
+    for w in range(words):
+        lo, hi = w * lanes, min((w + 1) * lanes, k)
+        np.right_shift(code[w, s], shifts[: hi - lo], out=out[lo:hi])
+    out &= (1 << width) - 1
+    return out.view(np.int64)
 
 
 def _fold_totals(
     order: np.ndarray, bases: Iterable[StatisticKind], k: int, n: int, acc: type
 ) -> dict[StatisticKind, np.ndarray]:
-    """Each base's sum of cell shares, by `cell_shares` over the below-counts.
+    """Each base's sum of cell shares, by `cell_shares` over the lane counts.
 
-    One block of `order`'s rows at a time, so the (k, rows, kn) counts
+    One block of `order`'s rows at a time: its two codes (running and in
+    cell order), one slot's (k, rows, n) counts and the PA share's scratch
     stay near BLOCK_BYTES whatever the batch size.
     """
     b, kn = order.shape
+    words = _lanes(k, n)[2]
     parts: dict[StatisticKind, list[np.ndarray]] = {base: [] for base in bases}
-    for rows in replicate_blocks(b, k * kn * np.min_scalar_type(n).itemsize):
-        counts = _below_counts(order[rows], k, n)
+    for rows in replicate_blocks(b, 8 * kn * (2 * words + 3)):
+        code = _below_code(order[rows], k, n)
+        out = np.empty((k, rows.stop - rows.start, n), dtype=np.uint64)
+        totals = dict.fromkeys(parts, 0)
+        for s in range(k):
+            counts = _lane_counts(code, s, k, n, out)
+            for base in parts:
+                totals[base] += cell_shares(base, s, counts, n, acc).sum(axis=1)
         for base, part in parts.items():
-            part.append(
-                sum(
-                    cell_shares(base, s, counts[:, :, s * n : (s + 1) * n], n, acc).sum(axis=1)
-                    for s in range(k)
-                )
-            )
+            part.append(totals[base])
     return {base: np.concatenate(part) for base, part in parts.items()}
-
-
-def _below_counts(order: np.ndarray, k: int, n: int) -> np.ndarray:
-    """counts[i, b, c]: the slot-i cells of sample b that lie below its cell c.
-
-    Slot-major, from each sample's cell order: per slot, a running count
-    of its cells met along the order is gathered back to the cells, and
-    the slot's own cells, each counted at itself, take one off.  Every
-    count is at most n, so the smallest unsigned dtype that fits n holds
-    it (uint8 up to n = 255).
-    """
-    b, kn = order.shape
-    small = np.min_scalar_type(n)
-    slot = order // n
-    # position[b, c] as a flat index into a (B, kn) array: where cell c
-    # of sample b sits in its order
-    position = np.empty_like(order)
-    position[np.arange(b)[:, None], order] = np.arange(kn)
-    position += np.arange(0, b * kn, kn)[:, None]
-    counts = np.empty((k, b, kn), dtype=small)
-    met = np.empty((b, kn), dtype=bool)
-    seen = np.empty((b, kn), dtype=small)
-    for i in range(k):
-        np.equal(slot, i, out=met)
-        np.cumsum(met, axis=1, dtype=small, out=seen)
-        # every position is in range; the default mode="raise" would buffer out
-        np.take(seen, position, out=counts[i], mode="wrap")
-        counts[i, :, i * n : (i + 1) * n] -= 1
-    return counts
 
 
 def cell_shares(
@@ -278,40 +308,45 @@ def cell_shares(
     if kind is not StatisticKind.PA:
         raise ValueError(f"no per-cell share for {kind.value}")
     k = counts.shape[0]
+    counts = counts.astype(acc, copy=False)
     # |X - s| = |Z - t| with Z the Bernoulli sum towards the nearer end
     # (Z = X, or Z = k-1-X with success counts n - counts_i) and t its
     # distance; |Z - t| = (Z - t) + 2 (t - Z)+ needs only P(Z < t).
     t = min(s, k - 1 - s)
-    cells = counts.shape[1:]
-    others = [i for i in range(k) if i != s]
-    total = sum((counts[i] for i in others), np.zeros(cells, dtype=np.int64))
+    share = counts.sum(axis=0, out=np.empty(counts.shape[1:], dtype=acc))
+    share -= counts[s]
     if t < s:
-        total = (k - 1) * n - total
-    share = total.astype(acc) * n ** max(k - 2, 0) - t * n ** (k - 1)
+        np.subtract((k - 1) * n, share, out=share)
+    share *= n ** max(k - 2, 0)
+    share -= t * n ** (k - 1)
     if t:
-        # pmf[j]: n^(k-1) P(Z = j) for j < t, one array per j, built by
-        # folding in one Bernoulli(m / n) per slot i != s
-        pmf = [np.ones(cells, dtype=acc)] + [np.zeros(cells, dtype=acc)] * (t - 1)
-        for i in others:
-            m = counts[i].astype(acc)
-            q = n - m
-            if t < s:
-                m, q = q, m
-            for j in range(t - 1, 0, -1):
-                pmf[j] = pmf[j] * q + pmf[j - 1] * m
-            pmf[0] = pmf[0] * q
-        share += 2 * sum((t - j) * p for j, p in enumerate(pmf))
+        # pmf[j]: n^(k-1) P(Z = j) for j < t, built in place by folding in
+        # one Bernoulli(up / n) per slot i != s: each step moves pmf[j-1] * up
+        # up to j, through one scratch array, and keeps pmf[j] * down
+        pmf = np.zeros((t,) + share.shape, dtype=acc)
+        pmf[0] = 1
+        scratch = np.empty_like(pmf[1:])
+        others = n - counts
+        ups, downs = (others, counts) if t < s else (counts, others)
+        for i in range(k):
+            if i != s:
+                np.multiply(pmf[:-1], ups[i], out=scratch)
+                pmf *= downs[i]
+                pmf[1:] += scratch
+        pmf *= np.arange(2 * t, 0, -2).reshape((t,) + (1,) * share.ndim)
+        share += pmf.sum(axis=0)
     return share
 
 
-@lru_cache(maxsize=None)
+# a table takes up to BLOCK_BYTES, so the cache holds at most 32 MiB
+@lru_cache(maxsize=8)
 def share_table(kind: StatisticKind, k: int, n: int) -> np.ndarray:
     """`cell_shares` of every slot s and count vector c on a k x n grid.
 
     Entry s * (n+1)^k + sum_i c_i (n+1)^i is what a slot-s cell with c_i
     slot-i cells below it adds, in `_accumulator(k, n)` integers.  The
     table has k (n+1)^k entries, so only small grids can hold one.
-    Read-only, and built once per (kind, k, n).
+    Read-only; the eight most recently used are kept.
     """
     radix = (n + 1) ** np.arange(k)
     # slot-major: column v is the count vector whose code is v

@@ -35,11 +35,17 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .batch import evaluate_batch
+from .batch import evaluate_batch, replicate_blocks
 from .errors import DataValidationError
 from .mc import CHUNK_SIZE, NullSource, null_distributions_for, run_chunks
 from .models import ImperfectModel, Population, draw_cells, resolve_population
-from .nulldist import NullDistribution, Provenance, as_exact_probability, critical_value
+from .nulldist import (
+    CriticalValues,
+    NullDistribution,
+    Provenance,
+    as_exact_probability,
+    critical_value,
+)
 from .statistics import StatisticKind
 from .streams import MODEL_STREAM_BASE, POWER_STREAM_BASE
 
@@ -307,9 +313,8 @@ def estimate_power(
 
     def rejections(model: ImperfectModel, rng: np.random.Generator, take: int) -> list[int]:
         draws = draw_cells(model, study.population, study.k, study.n, CHUNK_SIZE, rng)
-        u = rng.random(CHUNK_SIZE)[:take]
-        stats = evaluate_batch(draws[:take], study.kinds)
-        return [int(crits[kind].rejects(stats[kind], u).sum()) for kind in study.kinds]
+        u = rng.random(CHUNK_SIZE)
+        return _chunk_rejections(draws[:take], u[:take], crits)
 
     cells = []
     for lam_idx, lam in enumerate(study.lambda_grid):
@@ -324,6 +329,21 @@ def estimate_power(
         cells=tuple(cells),
         null_provenance=tuple((kind, null_dists[kind].provenance) for kind in study.kinds),
     )
+
+
+def _chunk_rejections(
+    draws: np.ndarray, u: np.ndarray, crits: Mapping[StatisticKind, CriticalValues]
+) -> list[int]:
+    """How many of the (take, k, n) `draws` each kind's test in `crits`
+    rejects, with `u` the rejection uniforms.  Evaluated over slices of at
+    most BLOCK_BYTES of cells, so the kernel's working set does not grow
+    with the chunk."""
+    totals = dict.fromkeys(crits, 0)
+    for rows in replicate_blocks(len(draws), 8 * draws.shape[1] * draws.shape[2]):
+        stats = evaluate_batch(draws[rows], crits)
+        for kind, crit in crits.items():
+            totals[kind] += int(crit.rejects(stats[kind], u[rows]).sum())
+    return list(totals.values())
 
 
 @dataclass(frozen=True)

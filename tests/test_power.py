@@ -5,9 +5,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from rsstest import (
@@ -22,10 +24,11 @@ from rsstest import (
     estimate_power,
     exact_null_distribution,
 )
-from rsstest.batch import evaluate_batch
+from rsstest.batch import evaluate_batch, replicate_blocks
 from rsstest.mc import CHUNK_SIZE, mc_null_distributions, null_distributions_for
 from rsstest.models import ImperfectModel, draw_cells
-from rsstest.nulldist import NullDistribution, critical_value, run_test
+from rsstest.nulldist import CriticalValues, NullDistribution, critical_value, run_test
+from rsstest.power import _chunk_rejections
 from rsstest.statistics import is_lower_tail, statistic_range
 from rsstest.streams import MODEL_STREAM_BASE, NULL_STREAM_BASE, POWER_STREAM_BASE, substream
 
@@ -332,6 +335,37 @@ def test_chunk_layout_matches_stream_definition(takes):
             assert nulls[kind].probs == tuple(Fraction(seen[kind][v], reps) for v in support)
         table = estimate_power(study, threads=threads)
         assert {(c.kind, c.lam): c.rejections for c in table.cells} == expected
+
+
+def test_a_wide_power_chunk_is_evaluated_in_bounded_slices():
+    # a 4x5 chunk is one slice, a 10x10 chunk two.  One 10x10 neighbor:0.5
+    # chunk of all eleven statistics, each test's cv at the chunk's median
+    # and its boundary atom next to it: the sliced rejections equal a
+    # whole-chunk evaluation's, and the evaluation's peak above the draws
+    # stays below 13 MB (about 11 MB; a whole-chunk evaluation peaks at 16).
+    assert len(replicate_blocks(CHUNK_SIZE, 8 * 4 * 5)) == 1
+    k = n = 10
+    assert len(replicate_blocks(CHUNK_SIZE, 8 * k * n)) == 2
+    rng = substream(5, POWER_STREAM_BASE)
+    draws = draw_cells(ImperfectModel("neighbor", 0.5), "uniform", k, n, CHUNK_SIZE, rng)
+    u = rng.random(CHUNK_SIZE)
+    whole = evaluate_batch(draws, list(K))
+    crits = {}
+    for kind, t in whole.items():
+        cv, lower = int(np.median(t)), is_lower_tail(kind)
+        boundary = cv + 1 if lower else cv - 1
+        crits[kind] = CriticalValues(cv, Fraction(1, 20), Fraction(1, 2), boundary, "lower" if lower else "upper")
+    want = [int(crits[kind].rejects(whole[kind], u).sum()) for kind in crits]
+    del whole
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        got = _chunk_rejections(draws, u, crits)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < 13e6, peak
 
 
 def test_mc_null_source():

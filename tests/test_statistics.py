@@ -30,12 +30,13 @@ from rsstest import (
 )
 from rsstest.batch import (
     _accumulator,
-    _below_counts,
+    _below_code,
     _fold_totals,
+    _lane_counts,
+    _lanes,
     _table_totals,
     cell_shares,
     evaluate_batch,
-    replicate_blocks,
     share_table,
 )
 from rsstest.mc import CHUNK_SIZE
@@ -300,6 +301,13 @@ def direct_counts(cells: np.ndarray) -> np.ndarray:
     return np.stack([(cells[:, i, None, :] < flat[:, :, None]).sum(axis=-1) for i in range(k)])
 
 
+def lane_counts(order: np.ndarray, k: int, n: int) -> np.ndarray:
+    """counts[i, b, c] as the kernel reads them, lane by lane, from its packed code."""
+    code = _below_code(order, k, n)
+    out = np.empty((k, len(order), n), dtype=np.uint64)
+    return np.concatenate([_lane_counts(code, s, k, n, out).copy() for s in range(k)], axis=2)
+
+
 def test_rank_based_wstar_is_the_sum_of_its_cell_shares():
     # the kernel takes Wstar from overall ranks alone; summing the per-cell
     # shares over directly counted cells must give the same value, and a
@@ -309,7 +317,7 @@ def test_rank_based_wstar_is_the_sum_of_its_cell_shares():
         cells = draw_cells(ImperfectModel("perfect"), "uniform", k, n, 32, substream(k + n, 4))
         counts = direct_counts(cells)
         order = np.argsort(cells.reshape(len(cells), k * n), axis=1)
-        assert _below_counts(order, k, n).tolist() == counts.tolist(), (k, n)
+        assert lane_counts(order, k, n).tolist() == counts.tolist(), (k, n)
         kernel = evaluate_batch(cells, [K.WSTAR])[K.WSTAR]
         shares = [cell_shares(K.WSTAR, s, counts[:, :, s * n : (s + 1) * n], n) for s in range(k)]
         total = sum(x.sum(axis=1) for x in shares)
@@ -331,6 +339,9 @@ EVALUATE_BATCH_PINS = {
     (6, 10, 64): "76736f7c978b843d",
     (10, 10, 64): "23272927e363102c",  # 45 slot pairs per cycle
     (12, 30, 4): "d3f558386c4ba43e",  # object accumulators
+    # two-word lane codes; recorded from the per-slot fold
+    (13, 16, 64): "b2a84215afea6e08",
+    (9, 255, 8): "d3c5701098d22332",  # object accumulators
     # full chunks, where J and PA are gathered from the share tables;
     # recorded from the per-slot fold, before the tables existed
     (3, 3, CHUNK_SIZE): "55d1f32178e70eb1",
@@ -340,23 +351,34 @@ EVALUATE_BATCH_PINS = {
 }
 
 
-def test_the_wide_pin_spans_two_fold_blocks():
-    # a 10x10 block of below-counts is 10 x 100 one-byte counts a replicate
-    blocks = replicate_blocks(5000, 10 * 100)
-    assert len(blocks) == 2 and blocks[1].stop - blocks[1].start < blocks[0].stop
+def test_the_wide_pin_spans_two_fold_blocks(monkeypatch):
+    # the 10x10 pin of 5000 replicates folds over two or more blocks of
+    # rows, the last one short
+    rows = []
+
+    def spy(order, k, n):
+        rows.append(len(order))
+        return _below_code(order, k, n)
+
+    monkeypatch.setattr("rsstest.batch._below_code", spy)
+    cells = draw_cells(ImperfectModel("perfect"), "uniform", 10, 10, 5000, substream(1003, 3))
+    evaluate_batch(cells, [K.J])
+    assert len(rows) >= 2 and rows[-1] < rows[0] and sum(rows) == 5000, rows
 
 
 @pytest.mark.parametrize("n", [255, 256])
 def test_below_counts_and_fold_at_the_count_dtype_edge(n):
-    # counts of 0..n cells are uint8 up to n = 255 and uint16 from 256.
-    # Sample 0 puts every slot-0 cell below every slot-1 cell, so the top
-    # cell counts all n below it and the running count reaches n.
+    # a count of 0..n cells takes an 8-bit lane up to n = 255 and a 9-bit
+    # one from 256.  Sample 0 puts every slot-0 cell below every slot-1
+    # cell, so the top cell counts all n below it and the running count
+    # reaches n.
     k = 2
     cells = draw_cells(ImperfectModel("perfect"), "uniform", k, n, 6, substream(n, 8))
     cells[0] = np.arange(k * n).reshape(k, n)
     order = np.argsort(cells.reshape(len(cells), k * n), axis=1)
-    counts = _below_counts(order, k, n)
-    assert counts.dtype == (np.uint8 if n < 256 else np.uint16)
+    assert _lanes(k, n)[0] == (8 if n < 256 else 9)
+    counts = lane_counts(order, k, n)
+    assert counts.dtype == np.int64
     assert counts.tolist() == direct_counts(cells).tolist()
     assert counts[0, 0, -1] == n
     bases = {K.J, K.WSTAR, K.PA}
@@ -364,6 +386,40 @@ def test_below_counts_and_fold_at_the_count_dtype_edge(n):
     fold = _fold_totals(order, bases, k, n, _accumulator(k, n))
     for base in bases:
         assert table[base].tolist() == fold[base].tolist(), (n, base)
+
+
+# one-word grids, two-word grids (9x255 with object accumulators), and
+# each lane-width edge with one lane more than a word holds
+LANE_GRIDS = list(
+    dict.fromkeys(
+        [(3, 3), (6, 10), (10, 10), (13, 16), (9, 255)]
+        + [(64 // n.bit_length() + 1, n) for n in (7, 8, 15, 16, 255, 256)]
+    )
+)
+
+
+@pytest.mark.parametrize("k,n", LANE_GRIDS)
+def test_lane_counts_equal_direct_counts(k, n):
+    # every slot's count below every cell, own slot included, against the
+    # direct comparison.  Sample 0 is sorted slot by slot, so the top
+    # slot's cells count n in every other lane: a lane one bit too narrow
+    # carries into the next, and an inclusive running sum counts a cell
+    # below itself.
+    width, lanes, words = _lanes(k, n)
+    assert width == n.bit_length() and words == -(-k // lanes)
+    b = 16 if k * n < 500 else 4
+    cells = draw_cells(ImperfectModel("perfect"), "uniform", k, n, b, substream(k * n, 9))
+    cells[0] = np.arange(k * n).reshape(k, n)
+    order = np.argsort(cells.reshape(b, k * n), axis=1)
+    want = direct_counts(cells)
+    assert want[:-1, 0, -n:].tolist() == np.full((k - 1, n), n).tolist()
+    assert lane_counts(order, k, n).tolist() == want.tolist(), (k, n)
+
+
+def test_lane_grids_span_one_and_two_words():
+    assert [_lanes(k, n)[2] for k, n in LANE_GRIDS[:5]] == [1, 1, 1, 2, 2]
+    assert _accumulator(9, 255) is object
+    assert all(_lanes(k, n)[2] == 2 for k, n in LANE_GRIDS[5:])
 
 
 def test_one_wide_chunk_holds_a_bounded_working_set():
@@ -410,6 +466,20 @@ def test_share_table_entries_are_cell_shares_at_their_codes():
                 want = cell_shares(kind, s, counts, n, _accumulator(k, n))
                 got = table[s * (n + 1) ** k + codes]
                 assert got.tolist() == want.tolist(), (k, n, kind, s)
+
+
+def test_share_table_cache_is_bounded():
+    # tables built for more grids than the cache holds: at most its bound
+    # stay cached, and a table built again equals its first build
+    bound = share_table.cache_info().maxsize
+    assert bound is not None
+    grids = [(k, n) for k in (2, 3) for n in range(1, bound)]
+    first = {(kind, grid): share_table(kind, *grid).copy() for kind in (K.J, K.PA) for grid in grids}
+    assert len(first) > bound
+    assert share_table.cache_info().currsize <= bound
+    for (kind, grid), table in first.items():
+        assert share_table(kind, *grid).tolist() == table.tolist(), (kind, grid)
+    assert share_table.cache_info().currsize <= bound
 
 
 @pytest.mark.parametrize("k,n", [(1, 3), (2, 1), (2, 5), (3, 3), (4, 5), (5, 4), (3, 10), (8, 2)])

@@ -1,8 +1,10 @@
 """The one evaluation kernel for the eleven statistics.
 
 `evaluate_batch` computes any subset of the statistics for a whole
-(B, k, n) array of samples at once; scalar `statistics.evaluate` is a
-one-sample call into it, so every statistic is computed in one place.
+(B, k, n) array of samples; scalar `statistics.evaluate` is a one-sample
+call into it, so every statistic is computed in one place.  It works on
+one block of rows at a time, of about BLOCK_BYTES of intermediates, so
+its working set does not grow with the batch and no caller slices one.
 The independent oracles the tests and `verify` compare it with are
 `statistics.tuple_discrepancies` (one cycle, or one recombined sample)
 and `statistics.brute_force_perm_all` (the n^k enumeration).
@@ -40,8 +42,7 @@ any size takes the path a full CHUNK_SIZE chunk would:
          one cumulative sum a word (one word up to 12x30, two on 13x16
          and 9x255) counts every slot at once, and one scatter puts the
          codes in cell order.  Per slot s, shifts read its cells' k
-         counts out of the lanes and `cell_shares` folds them in.  One
-         block of rows of the order at a time, of about BLOCK_BYTES.
+         counts out of the lanes and `cell_shares` folds them in.
 
 The other eight statistics are derived as `statistics` defines them: PN
 and PS through `affine_base` from J and Wstar, and each cycle kind
@@ -74,8 +75,9 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 CHUNK_SIZE = 8192
 
 # the byte budget of one block of replicates: the perfect draw's comparison
-# sets and the fold's lane codes are built one block of rows at a time,
-# so their size does not grow with the chunk; a share table stays within it
+# sets and the kernel's intermediates are built one block of rows at a
+# time, so their size does not grow with the chunk; a share table stays
+# within it
 BLOCK_BYTES = 4 << 20
 
 
@@ -107,13 +109,21 @@ def evaluate_batch(
     Returns a dict mapping each requested kind to an integer array of
     length B: int64 where the grid's values fit in it, otherwise an
     object array of Python ints.  Values within each sample must be
-    pairwise distinct.
+    pairwise distinct.  Any batch may be passed, a whole chunk included:
+    it is evaluated one block of rows at a time (`replicate_blocks`),
+    each block's intermediates near BLOCK_BYTES.
     """
     vals = np.asarray(values, dtype=np.float64)
     if vals.ndim != 3:
         raise ValueError("values must have shape (batch, k, n)")
     b, k, n = vals.shape
     kinds = tuple(dict.fromkeys(StatisticKind(kind) for kind in kinds))
+    # a row block's per-cycle copies, cell order and fold codes, one
+    # slot's counts and the PA scratch stay near BLOCK_BYTES
+    blocks = replicate_blocks(b, 8 * k * n * (2 * _lanes(k, n)[2] + 3))
+    if len(blocks) > 1:
+        parts = [evaluate_batch(vals[rows], kinds) for rows in blocks]
+        return {kind: np.concatenate([part[kind] for part in parts]) for kind in kinds}
     acc = _accumulator(k, n)
     out: dict[StatisticKind, np.ndarray] = {}
 
@@ -259,26 +269,15 @@ def _lane_counts(code: np.ndarray, s: int, k: int, n: int, out: np.ndarray) -> n
 def _fold_totals(
     order: np.ndarray, bases: Iterable[StatisticKind], k: int, n: int, acc: type
 ) -> dict[StatisticKind, np.ndarray]:
-    """Each base's sum of cell shares, by `cell_shares` over the lane counts.
-
-    One block of `order`'s rows at a time: its two codes (running and in
-    cell order), one slot's (k, rows, n) counts and the PA share's scratch
-    stay near BLOCK_BYTES whatever the batch size.
-    """
-    b, kn = order.shape
-    words = _lanes(k, n)[2]
-    parts: dict[StatisticKind, list[np.ndarray]] = {base: [] for base in bases}
-    for rows in replicate_blocks(b, 8 * kn * (2 * words + 3)):
-        code = _below_code(order[rows], k, n)
-        out = np.empty((k, rows.stop - rows.start, n), dtype=np.uint64)
-        totals = dict.fromkeys(parts, 0)
-        for s in range(k):
-            counts = _lane_counts(code, s, k, n, out)
-            for base in parts:
-                totals[base] += cell_shares(base, s, counts, n, acc).sum(axis=1)
-        for base, part in parts.items():
-            part.append(totals[base])
-    return {base: np.concatenate(part) for base, part in parts.items()}
+    """Each base's sum of cell shares, by `cell_shares` over the lane counts."""
+    code = _below_code(order, k, n)
+    out = np.empty((k, len(order), n), dtype=np.uint64)
+    totals = dict.fromkeys(bases, 0)
+    for s in range(k):
+        counts = _lane_counts(code, s, k, n, out)
+        for base in totals:
+            totals[base] += cell_shares(base, s, counts, n, acc).sum(axis=1)
+    return totals
 
 
 def cell_shares(

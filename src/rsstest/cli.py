@@ -366,15 +366,13 @@ def _cmd_power(args: argparse.Namespace) -> int:
         raise UsageError("--model is required, e.g. neighbor:0.5")
 
     tag, _, param = args.model.partition(":")
+    grid = args.lambdas
     try:
         if param or tag == "perfect":
             model = ImperfectModel.parse(args.model)
-            grid = args.lambdas if args.lambdas is not None else [model.lam]
-        else:
-            model = None
-            grid = args.lambdas
-            if grid:
-                model = ImperfectModel(tag, grid[0])  # validates tag and domain
+            tag, grid = model.tag, grid or [model.lam]
+        for lam in grid or ():
+            ImperfectModel(tag, lam)  # validates tag and domain
     except DataValidationError as exc:
         raise UsageError(str(exc)) from exc
     if not grid:
@@ -385,7 +383,7 @@ def _cmd_power(args: argparse.Namespace) -> int:
         k=args.k,
         n=args.n,
         kinds=tuple(args.stats),
-        model_tag=model.tag,
+        model_tag=tag,
         lambda_grid=tuple(grid),
         alpha=as_exact_probability(args.alpha),
         reps=args.reps,
@@ -404,7 +402,7 @@ def _cmd_power(args: argparse.Namespace) -> int:
     else:
         report = compare_tests([table])
         lines = [
-            f"power of {', '.join(kd.value for kd in study.kinds)} under {model.tag} "
+            f"power of {', '.join(kd.value for kd in study.kinds)} under {tag} "
             f"(k={study.k}, n={study.n}, alpha={args.alpha}, reps={study.reps}, seed={seed}"
             + (" generated" if seed_generated else "")
             + ")"

@@ -26,8 +26,7 @@ import numpy as np
 from .batch import CHUNK_SIZE, evaluate_batch
 from .errors import DataValidationError
 from .exact import DEFAULT_EXACT_CELL_CAP, OPT_IN_EXACT_CELL_CAP, check_exact_cap
-# draw_cells stays bound here, where bench/tracing.py wraps the draw by name
-from .models import draw_cells, perfect_blocks
+from .models import perfect_blocks
 from .nulldist import NullDistribution, Provenance, exact_null_distribution
 from .statistics import StatisticKind
 from .streams import NULL_STREAM_BASE, substream

@@ -35,12 +35,11 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .batch import evaluate_batch, replicate_blocks
+from .batch import evaluate_batch
 from .errors import DataValidationError
 from .mc import CHUNK_SIZE, NullSource, null_distributions_for, run_chunks
 from .models import ImperfectModel, Population, draw_cells, resolve_population
 from .nulldist import (
-    CriticalValues,
     NullDistribution,
     Provenance,
     as_exact_probability,
@@ -297,7 +296,8 @@ def estimate_power(
     samples and rejection uniforms before cutting to `take`, so a stream
     is consumed the same way whatever `reps` is: the fraction models draw
     their mixing uniforms after all the comparison sets, so a shorter
-    draw would not be a prefix of the full one.
+    draw would not be a prefix of the full one.  Its `take` samples go
+    to `evaluate_batch` in one call, which bounds its own working set.
     """
     if null_dists is None:
         null_dists = resolve_null_distributions(study, threads=threads)
@@ -313,8 +313,9 @@ def estimate_power(
 
     def rejections(model: ImperfectModel, rng: np.random.Generator, take: int) -> list[int]:
         draws = draw_cells(model, study.population, study.k, study.n, CHUNK_SIZE, rng)
-        u = rng.random(CHUNK_SIZE)
-        return _chunk_rejections(draws[:take], u[:take], crits)
+        u = rng.random(CHUNK_SIZE)[:take]
+        stats = evaluate_batch(draws[:take], crits)
+        return [int(crit.rejects(stats[kind], u).sum()) for kind, crit in crits.items()]
 
     cells = []
     for lam_idx, lam in enumerate(study.lambda_grid):
@@ -329,21 +330,6 @@ def estimate_power(
         cells=tuple(cells),
         null_provenance=tuple((kind, null_dists[kind].provenance) for kind in study.kinds),
     )
-
-
-def _chunk_rejections(
-    draws: np.ndarray, u: np.ndarray, crits: Mapping[StatisticKind, CriticalValues]
-) -> list[int]:
-    """How many of the (take, k, n) `draws` each kind's test in `crits`
-    rejects, with `u` the rejection uniforms.  Evaluated over slices of at
-    most BLOCK_BYTES of cells, so the kernel's working set does not grow
-    with the chunk."""
-    totals = dict.fromkeys(crits, 0)
-    for rows in replicate_blocks(len(draws), 8 * draws.shape[1] * draws.shape[2]):
-        stats = evaluate_batch(draws[rows], crits)
-        for kind, crit in crits.items():
-            totals[kind] += int(crit.rejects(stats[kind], u[rows]).sum())
-    return list(totals.values())
 
 
 @dataclass(frozen=True)

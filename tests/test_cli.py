@@ -360,6 +360,10 @@ def test_config_file_unknown_key(nested_csv, tmp_path, capsys):
         ["verify", "--threads", "0"],
         ["power", "--k", "0", "--n", "2", "--model", "neighbor:1", "--seed", "1"],
         ["power", "--k", "2", "--n", "0", "--model", "neighbor:1", "--seed", "1"],
+        # a bad grid value is refused wherever it sits in the grid
+        ["power", "--k", "2", "--n", "2", "--model", "neighbor", "--lambdas", "2,0", "--seed", "1"],
+        ["power", "--k", "2", "--n", "2", "--model", "neighbor", "--lambdas", "0,2", "--seed", "1"],
+        ["power", "--k", "2", "--n", "2", "--model", "neighbor:0.5", "--lambdas", "0,2", "--seed", "1"],
     ],
 )
 def test_bad_flag_value_is_one_line_usage_error(argv, nested_csv, capsys):

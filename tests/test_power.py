@@ -24,11 +24,11 @@ from rsstest import (
     estimate_power,
     exact_null_distribution,
 )
-from rsstest.batch import evaluate_batch, replicate_blocks
+from rsstest import batch
+from rsstest.batch import evaluate_batch
 from rsstest.mc import CHUNK_SIZE, mc_null_distributions, null_distributions_for
 from rsstest.models import ImperfectModel, draw_cells
-from rsstest.nulldist import CriticalValues, NullDistribution, critical_value, run_test
-from rsstest.power import _chunk_rejections
+from rsstest.nulldist import NullDistribution, critical_value, run_test
 from rsstest.statistics import is_lower_tail, statistic_range
 from rsstest.streams import MODEL_STREAM_BASE, NULL_STREAM_BASE, POWER_STREAM_BASE, substream
 
@@ -337,35 +337,52 @@ def test_chunk_layout_matches_stream_definition(takes):
         assert {(c.kind, c.lam): c.rejections for c in table.cells} == expected
 
 
-def test_a_wide_power_chunk_is_evaluated_in_bounded_slices():
-    # a 4x5 chunk is one slice, a 10x10 chunk two.  One 10x10 neighbor:0.5
-    # chunk of all eleven statistics, each test's cv at the chunk's median
-    # and its boundary atom next to it: the sliced rejections equal a
-    # whole-chunk evaluation's, and the evaluation's peak above the draws
-    # stays below 13 MB (about 11 MB; a whole-chunk evaluation peaks at 16).
-    assert len(replicate_blocks(CHUNK_SIZE, 8 * 4 * 5)) == 1
+def test_a_wide_power_chunk_is_evaluated_in_bounded_slices(monkeypatch):
+    # one 10x10 neighbor:0.5 chunk of all eleven statistics through
+    # estimate_power's chunk body.  Its null is the chunk's own values, so
+    # each test's cv lies inside the chunk, and alpha = 1/3, no multiple
+    # of 1/CHUNK_SIZE, randomises at every boundary atom.  The rejections
+    # equal those of the unblocked kernel (one block as large as the
+    # chunk), and the chunk's one evaluate_batch call peaks below 13 MB
+    # above the draws (about 5 MB; evaluated in one piece it peaks at 16).
     k = n = 10
-    assert len(replicate_blocks(CHUNK_SIZE, 8 * k * n)) == 2
     rng = substream(5, POWER_STREAM_BASE)
     draws = draw_cells(ImperfectModel("neighbor", 0.5), "uniform", k, n, CHUNK_SIZE, rng)
     u = rng.random(CHUNK_SIZE)
-    whole = evaluate_batch(draws, list(K))
-    crits = {}
+    with monkeypatch.context() as m:
+        m.setattr(batch, "BLOCK_BYTES", 1 << 40)
+        whole = evaluate_batch(draws, list(K))
+    nulls = {}
     for kind, t in whole.items():
-        cv, lower = int(np.median(t)), is_lower_tail(kind)
-        boundary = cv + 1 if lower else cv - 1
-        crits[kind] = CriticalValues(cv, Fraction(1, 20), Fraction(1, 2), boundary, "lower" if lower else "upper")
-    want = [int(crits[kind].rejects(whole[kind], u).sum()) for kind in crits]
-    del whole
+        support, counts = np.unique(t, return_counts=True)
+        probs = tuple(Fraction(int(c), CHUNK_SIZE) for c in counts)
+        prov = Provenance("monte-carlo", seed=5, reps=CHUNK_SIZE)
+        nulls[kind] = NullDistribution(kind, k, n, tuple(support.tolist()), probs, prov)
+    study = small_study(
+        k=k, n=n, kinds=tuple(K), model_tag="neighbor", lambda_grid=(0.5,),
+        alpha=Fraction(1, 3), reps=CHUNK_SIZE, seed=5,
+    )
+    crits = {kind: critical_value(nulls[kind], study.alpha) for kind in K}
+    assert all(crit.gamma > 0 for crit in crits.values())
+    want = {kind: int(crits[kind].rejects(whole[kind], u).sum()) for kind in K}
+    del whole, draws
+    peaks = []
+
+    def spy(cells, kinds):
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        out = evaluate_batch(cells, kinds)
+        peaks.append(tracemalloc.get_traced_memory()[1] - held)
+        return out
+
+    monkeypatch.setattr("rsstest.power.evaluate_batch", spy)
     tracemalloc.start()
     try:
-        held = tracemalloc.get_traced_memory()[0]
-        got = _chunk_rejections(draws, u, crits)
-        peak = tracemalloc.get_traced_memory()[1] - held
+        table = estimate_power(study, nulls)
     finally:
         tracemalloc.stop()
-    assert got == want
-    assert peak < 13e6, peak
+    assert {c.kind: c.rejections for c in table.cells} == want
+    assert len(peaks) == 1 and peaks[0] < 13e6, peaks
 
 
 def test_mc_null_source():

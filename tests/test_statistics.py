@@ -34,6 +34,7 @@ from rsstest.batch import (
     _fold_totals,
     _lane_counts,
     _lanes,
+    _per_cycle,
     _table_totals,
     cell_shares,
     evaluate_batch,
@@ -364,6 +365,49 @@ def test_the_wide_pin_spans_two_fold_blocks(monkeypatch):
     cells = draw_cells(ImperfectModel("perfect"), "uniform", 10, 10, 5000, substream(1003, 3))
     evaluate_batch(cells, [K.J])
     assert len(rows) >= 2 and rows[-1] < rows[0] and sum(rows) == 5000, rows
+
+
+# a table grid, one- and two-word fold grids, and object accumulators;
+# each batch spans two or more blocks of rows, the last one short
+SEVERAL_BLOCK_BATCHES = [(4, 5, 6553), (4, 16, 2000), (10, 10, 2500), (13, 16, 800), (12, 30, 300)]
+
+
+@pytest.mark.parametrize("k,n,b", SEVERAL_BLOCK_BATCHES)
+def test_a_batch_of_several_blocks_equals_its_blocks_one_by_one(k, n, b, monkeypatch):
+    # the blocks are read off the per-cycle calls (every kind is asked
+    # for, so each block makes one); each block alone is one kernel call
+    sizes = []
+
+    def spy(vals, bases):
+        sizes.append(len(vals))
+        return _per_cycle(vals, bases)
+
+    cells = draw_cells(ImperfectModel("perfect"), "uniform", k, n, b, substream(k * n, 12))
+    with monkeypatch.context() as m:
+        m.setattr("rsstest.batch._per_cycle", spy)
+        got = evaluate_batch(cells, ALL_KINDS)
+    assert len(sizes) >= 2 and sizes[-1] < sizes[0] and sum(sizes) == b, sizes
+    edges = np.cumsum([0] + sizes)
+    parts = [evaluate_batch(cells[lo:hi], ALL_KINDS) for lo, hi in zip(edges, edges[1:])]
+    for kind in ALL_KINDS:
+        want = np.concatenate([part[kind] for part in parts])
+        assert got[kind].dtype == want.dtype, (k, n, kind)
+        assert got[kind].tolist() == want.tolist(), (k, n, kind)
+
+
+def test_a_whole_wide_chunk_is_evaluated_in_a_bounded_working_set():
+    # one evaluate_batch call over a whole 8192-replicate 10x10 chunk, all
+    # eleven kinds, peaks at about 5 MB above its cells: it works on one
+    # block of rows at a time.  Evaluated in one piece it peaked at 16 MB.
+    cells = draw_cells(ImperfectModel("perfect"), "uniform", 10, 10, CHUNK_SIZE, substream(1, 0))
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        evaluate_batch(cells, ALL_KINDS)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert peak < 13e6, peak
 
 
 @pytest.mark.parametrize("n", [255, 256])
